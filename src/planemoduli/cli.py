@@ -1,7 +1,7 @@
 """Command-line front end: modulus curves, verification suites, probes, figures.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
-3 I/O error.  The MODULI_THREADS environment variable caps curve parallelism.
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -229,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planemoduli",
         description="Geometric moduli of two-dimensional normed planes.",
-        epilog="Set MODULI_THREADS to compute curve points in parallel.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

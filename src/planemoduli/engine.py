@@ -1,9 +1,13 @@
 """Deterministic extremization over low-dimensional boxes.
 
-A coarse uniform scan (cell centers) keeps the best handful of cells, then each
-kept cell is refined by repeated subdivision: nine samples per axis, recenter
-on the best, shrink the cell by a factor of four. No randomness anywhere, so
-identical inputs give identical results.
+A coarse uniform scan (cell centers) keeps the best handful of cells, then all
+kept cells are refined together by repeated subdivision: nine samples per axis
+around each cell, recenter each cell on its best, shrink the cells by a factor
+of four. Each round stacks the stencils of every kept cell into one objective
+call, so the objective must compute each row on its own: a row's value may not
+depend on the other rows of the batch. That keeps the result bit-identical to
+refining the cells one at a time. No randomness anywhere, so identical inputs
+give identical results.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ def extremize(
     is a sequence of (lo, hi) pairs; grid_n is the coarse resolution per axis
     (int or per-axis tuple, at least 64). extra_points are exact parameter
     points injected into the coarse scan (e.g. polygon vertex angles).
+
+    The best keep_cells coarse cells are refined in lockstep, one objective
+    call per round on all their stencils. The objective must therefore be
+    row-independent: each output value depends only on its own input row.
     """
     if mode not in ("inf", "sup"):
         raise InputError(f"mode must be 'inf' or 'sup', got {mode!r}")
@@ -52,16 +60,17 @@ def extremize(
         raise InputError("grid_n must be at least 64 per dimension")
     if refine_rounds < 1:
         raise InputError("refine_rounds must be at least 1")
+    if isinstance(keep_cells, bool) or not isinstance(keep_cells, (int, np.integer)) or keep_cells < 1:
+        raise InputError(f"keep_cells must be an integer >= 1, got {keep_cells!r}")
     sign = 1.0 if mode == "sup" else -1.0
 
     axes = [lo + (np.arange(n) + 0.5) * (hi - lo) / n for (lo, hi), n in zip(bounds, ns)]
     widths0 = np.array([(hi - lo) / n for (lo, hi), n in zip(bounds, ns)])
+    lo, hi = np.array(bounds).T
     mesh = np.meshgrid(*axes, indexing="ij")
     P = np.stack([m.ravel() for m in mesh], axis=-1)
     if extra_points is not None and len(extra_points) > 0:
-        E = np.array(extra_points, dtype=float).reshape(-1, d)
-        for k in range(d):
-            E[:, k] = np.clip(E[:, k], bounds[k][0], bounds[k][1])
+        E = np.clip(np.array(extra_points, dtype=float).reshape(-1, d), lo, hi)
         P = np.concatenate([P, E], axis=0)
 
     vals = np.asarray(objective(P), dtype=float)
@@ -73,37 +82,40 @@ def extremize(
     top = np.argpartition(-score, k - 1)[:k]
     top = top[np.argsort(-score[top], kind="stable")]
 
-    best_val = float(vals[top[0]])
-    best_pt = P[top[0]].copy()
-    best_tol = float("nan")
-    for idx in top:
-        center = P[idx].copy()
-        width = widths0.copy()
-        cand_val = float(vals[idx])
-        cand_pt = P[idx].copy()
-        lip = 0.0
-        for r in range(refine_rounds):
-            grids = [
-                np.clip(center[a] + np.linspace(-0.5, 0.5, 9) * width[a], bounds[a][0], bounds[a][1])
-                for a in range(d)
-            ]
-            mesh = np.meshgrid(*grids, indexing="ij")
-            Q = np.stack([m.ravel() for m in mesh], axis=-1)
-            qv = np.asarray(objective(Q), dtype=float)
-            n_evals += len(Q)
-            j = int(np.argmax(sign * qv))
-            if sign * qv[j] >= sign * cand_val:
-                cand_val = float(qv[j])
-                cand_pt = Q[j].copy()
-            center = Q[j].copy()
-            if r == refine_rounds - 1:
-                V = qv.reshape((9,) * d)
-                for a in range(d):
-                    step = width[a] / 8.0
-                    if step > 0.0 and V.shape[a] > 1:
-                        lip = max(lip, float(np.max(np.abs(np.diff(V, axis=a))) / step))
-            width = width / 4.0
-        tol = lip * float(np.sqrt(np.sum(width * width)))
-        if (sign * cand_val > sign * best_val) or np.isnan(best_tol):
-            best_val, best_pt, best_tol = cand_val, cand_pt, tol
+    offs = np.linspace(-0.5, 0.5, 9)
+    stencil = np.indices((9,) * d).reshape(d, -1)
+    axis_ix = np.arange(d)[:, None]
+    rows = np.arange(k)
+    center = P[top]
+    cand_val = vals[top]
+    cand_pt = P[top]
+    width = widths0.copy()
+    lip = np.zeros(k)
+    for r in range(refine_rounds):
+        grids = np.clip(center[:, :, None] + offs * width[:, None], lo[:, None], hi[:, None])
+        Q = grids[:, axis_ix, stencil].transpose(0, 2, 1)  # (k, 9^d, d), meshgrid "ij" order
+        qv = np.asarray(objective(Q.reshape(-1, d)), dtype=float).reshape(k, 9**d)
+        n_evals += qv.size
+        j = np.argmax(sign * qv, axis=1)
+        qj = qv[rows, j]
+        center = Q[rows, j]
+        take = sign * qj >= sign * cand_val
+        cand_val = np.where(take, qj, cand_val)
+        cand_pt = np.where(take[:, None], center, cand_pt)
+        if r == refine_rounds - 1:
+            V = qv.reshape((k,) + (9,) * d)
+            cells = tuple(range(1, d + 1))
+            for a in range(d):
+                step = width[a] / 8.0
+                if step > 0.0:
+                    lip = np.fmax(lip, np.max(np.abs(np.diff(V, axis=a + 1)), axis=cells) / step)
+        width = width / 4.0
+    tol = lip * float(np.sqrt(np.sum(width * width)))
+    # in-order pick: a cell displaces the best only when strictly better, or
+    # when the best so far has a NaN tol (the first cell always counts)
+    w = 0
+    for i in range(1, k):
+        if sign * cand_val[i] > sign * cand_val[w] or np.isnan(tol[w]):
+            w = i
+    best_val, best_pt, best_tol = float(cand_val[w]), cand_pt[w].copy(), float(tol[w])
     return ExtremizeResult(value=best_val, point=best_pt, tol=best_tol, n_evals=n_evals)

@@ -25,8 +25,6 @@ extremal configurations are hit exactly.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -593,36 +591,10 @@ def modulus(
     mode = "sup" if kind.is_sup() else "inf"
     two_pi = 2.0 * math.pi
 
-    if name == "rho":
-
-        def obj(P):
-            X = norm.sphere_point(P[:, 0])
-            Y = eps * norm.sphere_point(P[:, 1])
-            return 0.5 * (np.asarray(norm(X + Y)) + np.asarray(norm(X - Y))) - 1.0
-
-        res = _extremize_2d(norm, obj, mode, grid_n_2d, refine_rounds)
+    if name in ("rho", "milman-minus", "milman-plus"):
+        res = _extremize_2d(norm, _objective_2d(norm, kind, eps), mode, grid_n_2d, refine_rounds)
         x = norm.sphere_point(res.point[0])
-        y = eps * np.asarray(norm.sphere_point(res.point[1]))
-        witness = {
-            "theta_x": float(res.point[0]),
-            "theta_y": float(res.point[1]),
-            "x": _vec(x),
-            "y": _vec(y),
-            "value": float(res.value),
-        }
-        return CurveSample(eps, float(res.value), int(grid_n_2d), max(float(res.tol), 1e-12), witness)
-
-    if name in ("milman-minus", "milman-plus"):
-        inner = np.maximum if name == "milman-minus" else np.minimum
-
-        def obj(P):
-            X = norm.sphere_point(P[:, 0])
-            Y = norm.sphere_point(P[:, 1])
-            return inner(np.asarray(norm(X + eps * Y)), np.asarray(norm(X - eps * Y))) - 1.0
-
-        res = _extremize_2d(norm, obj, mode, grid_n_2d, refine_rounds)
-        x = norm.sphere_point(res.point[0])
-        y = norm.sphere_point(res.point[1])
+        y = (eps if name == "rho" else 1.0) * np.asarray(norm.sphere_point(res.point[1]))
         witness = {
             "theta_x": float(res.point[0]),
             "theta_y": float(res.point[1]),
@@ -648,6 +620,26 @@ def modulus(
     return CurveSample(eps, float(res.value), int(grid_n), max(float(res.tol), 1e-12), witness)
 
 
+def _objective_2d(norm: Norm, kind: ModulusKind, eps: float):
+    """The two-angle objective of rho or milman on (theta_x, theta_y) rows."""
+    if kind.name == "rho":
+
+        def obj(P):
+            X = norm.sphere_point(P[:, 0])
+            Y = eps * norm.sphere_point(P[:, 1])
+            return 0.5 * (np.asarray(norm(X + Y)) + np.asarray(norm(X - Y))) - 1.0
+
+        return obj
+    inner = np.maximum if kind.name == "milman-minus" else np.minimum
+
+    def obj(P):
+        X = norm.sphere_point(P[:, 0])
+        Y = norm.sphere_point(P[:, 1])
+        return inner(np.asarray(norm(X + eps * Y)), np.asarray(norm(X - eps * Y))) - 1.0
+
+    return obj
+
+
 def _extremize_2d(norm: Norm, obj, mode: str, grid_n_2d: int, refine_rounds: int):
     sp = np.mod(norm.special_angles(), 2.0 * math.pi)
     extras = None
@@ -667,29 +659,18 @@ def modulus_curve(
     refine_rounds: int = 6,
     cone_samples: int = 17,
     grid_n_2d: int = 256,
-    max_workers: int | None = None,
 ) -> ModulusCurve:
-    """Modulus samples over a strictly increasing in-domain eps grid.
-
-    Points are independent; MODULI_THREADS (or max_workers)>1 computes them in
-    a thread pool with results in grid order, identical to the serial run.
-    """
+    """Modulus samples over a strictly increasing in-domain eps grid."""
     grid = [float(e) for e in eps_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("eps grid must be strictly increasing")
     lo, hi = kind_domain(kind)
     if grid and (grid[0] < lo or grid[-1] > hi):
         raise DomainError(f"eps grid outside [{lo}, {hi}] for kind {kind.token()}")
-    if max_workers is None:
-        max_workers = int(os.environ.get("MODULI_THREADS", "1") or "1")
-    point = lambda e: modulus(
-        norm, kind, e, grid_n=grid_n, refine_rounds=refine_rounds, cone_samples=cone_samples, grid_n_2d=grid_n_2d
-    )
-    if max_workers > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            samples = list(pool.map(point, grid))
-    else:
-        samples = [point(e) for e in grid]
+    samples = [
+        modulus(norm, kind, e, grid_n=grid_n, refine_rounds=refine_rounds, cone_samples=cone_samples, grid_n_2d=grid_n_2d)
+        for e in grid
+    ]
     return ModulusCurve(kind=kind, norm=norm, samples=samples)
 
 

@@ -58,3 +58,101 @@ def test_validation():
         extremize(f, [(1.0, 0.0)])
     with pytest.raises(InputError):
         extremize(f, [(0.0, 1.0)], refine_rounds=0)
+    with pytest.raises(InputError):
+        extremize(f, [(0.0, 1.0)], keep_cells=0)
+    with pytest.raises(InputError):
+        extremize(f, [(0.0, 1.0)], keep_cells=-1)
+    with pytest.raises(InputError):
+        extremize(f, [(0.0, 1.0)], keep_cells=2.5)
+
+
+def _reference_extremize(objective, bounds, mode, grid_n, refine_rounds, keep_cells=8, extra_points=None):
+    """The same search with each kept cell refined on its own: one objective
+    call per cell and round, cells visited in score order."""
+    sign = 1.0 if mode == "sup" else -1.0
+    d = len(bounds)
+    axes = [lo + (np.arange(grid_n) + 0.5) * (hi - lo) / grid_n for lo, hi in bounds]
+    widths0 = np.array([(hi - lo) / grid_n for lo, hi in bounds])
+    P = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    if extra_points is not None:
+        E = np.array(extra_points, dtype=float).reshape(-1, d)
+        for a in range(d):
+            E[:, a] = np.clip(E[:, a], bounds[a][0], bounds[a][1])
+        P = np.concatenate([P, E], axis=0)
+    vals = np.asarray(objective(P), dtype=float)
+    n_evals = len(P)
+    score = sign * vals
+    k = min(keep_cells, len(P))
+    top = np.argpartition(-score, k - 1)[:k]
+    top = top[np.argsort(-score[top], kind="stable")]
+    best_val, best_pt, best_tol = float(vals[top[0]]), P[top[0]].copy(), float("nan")
+    for idx in top:
+        center, width = P[idx].copy(), widths0.copy()
+        cand_val, cand_pt = float(vals[idx]), P[idx].copy()
+        lip = 0.0
+        for r in range(refine_rounds):
+            grids = [
+                np.clip(center[a] + np.linspace(-0.5, 0.5, 9) * width[a], bounds[a][0], bounds[a][1])
+                for a in range(d)
+            ]
+            Q = np.stack([m.ravel() for m in np.meshgrid(*grids, indexing="ij")], axis=-1)
+            qv = np.asarray(objective(Q), dtype=float)
+            n_evals += len(Q)
+            j = int(np.argmax(sign * qv))
+            if sign * qv[j] >= sign * cand_val:
+                cand_val, cand_pt = float(qv[j]), Q[j].copy()
+            center = Q[j].copy()
+            if r == refine_rounds - 1:
+                V = qv.reshape((9,) * d)
+                for a in range(d):
+                    step = width[a] / 8.0
+                    if step > 0.0:
+                        lip = max(lip, float(np.max(np.abs(np.diff(V, axis=a)))) / step)
+            width = width / 4.0
+        tol = lip * float(np.sqrt(np.sum(width * width)))
+        if (sign * cand_val > sign * best_val) or np.isnan(best_tol):
+            best_val, best_pt, best_tol = cand_val, cand_pt, tol
+    return best_val, best_pt, best_tol, n_evals
+
+
+def _bumpy_2d(P):
+    return np.sin(3.0 * P[:, 0]) * np.cos(2.0 * P[:, 1]) + 0.05 * P[:, 0] * P[:, 1]
+
+
+BATCH_CASES = {
+    "1d": (lambda P: np.cos(3 * P[:, 0]) + 0.1 * P[:, 0], [(0.0, 7.0)], "sup", 128, 4, 8, None),
+    "1d-quantized-ties": (lambda P: np.round(np.sin(5 * P[:, 0]), 1), [(0.0, 7.0)], "inf", 64, 3, 8, None),
+    "1d-constant": (lambda P: np.full(len(P), 1.3), [(0.0, 1.0)], "sup", 64, 2, 8, None),
+    "1d-extra-points": (
+        lambda P: np.maximum(0.0, 1.0 - 1e7 * np.abs(P[:, 0] - 0.1234567891)),
+        [(0.0, 1.0)],
+        "sup",
+        64,
+        3,
+        8,
+        [[0.1234567891], [2.0]],
+    ),
+    "1d-nan-rows": (lambda P: np.where(np.abs(P[:, 0] - 1.5) < 0.3, np.nan, np.sin(P[:, 0])), [(0.0, 7.0)], "sup", 64, 3, 8, None),
+    "2d": (_bumpy_2d, [(-1.0, 2.0), (0.0, 3.0)], "inf", 64, 4, 8, None),
+    "2d-constant": (lambda P: np.zeros(len(P)), [(0.0, 1.0), (0.0, 1.0)], "inf", 64, 2, 8, None),
+    "2d-extra-points": (_bumpy_2d, [(-1.0, 2.0), (0.0, 3.0)], "sup", 64, 3, 3, [[0.5, 0.5], [1.9, 2.9], [-5.0, 9.0]]),
+}
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_refine_batches_cells_and_matches_per_cell_loop(case):
+    f, bounds, mode, grid_n, rounds, keep, extra = BATCH_CASES[case]
+    calls = []
+
+    def counted(P):
+        calls.append(len(P))
+        return f(P)
+
+    res = extremize(counted, bounds, mode=mode, grid_n=grid_n, refine_rounds=rounds, keep_cells=keep, extra_points=extra)
+    assert len(calls) == 1 + rounds
+    ref_val, ref_pt, ref_tol, ref_evals = _reference_extremize(f, bounds, mode, grid_n, rounds, keep, extra)
+    bits = lambda x: np.asarray(x, dtype=float).tobytes()
+    assert bits(res.value) == bits(ref_val)
+    assert bits(res.point) == bits(ref_pt)
+    assert bits(res.tol) == bits(ref_tol)
+    assert res.n_evals == ref_evals == sum(calls)

@@ -27,6 +27,8 @@ from planemoduli import (
     regular_polygon_norm,
     rows_to_csv,
 )
+from planemoduli.moduli import KIND_NAMES, _objective_2d, _values_for
+from planemoduli.verify import _sample_polygon
 
 EUCLID = euclidean_norm()
 SQUARE = lp_norm("inf")
@@ -242,14 +244,6 @@ def test_lambda_plus_curve_euclidean():
         assert 0 < s.refine_tol < 1e-3
 
 
-def test_threaded_curve_matches_serial(monkeypatch):
-    grid = [0.3, 0.6, 0.9]
-    serial = modulus_curve(LP3, K("phi-plus"), grid, grid_n=128, refine_rounds=3, max_workers=1)
-    monkeypatch.setenv("MODULI_THREADS", "3")
-    threaded = modulus_curve(LP3, K("phi-plus"), grid, grid_n=128, refine_rounds=3)
-    assert [s.value for s in serial.samples] == [s.value for s in threaded.samples]
-
-
 def test_plus_minus_ordering_spot_checks():
     lam_lo = modulus(HEXAGON, K("lambda-minus"), 0.5, **FAST).value
     lam_hi = modulus(HEXAGON, K("lambda-plus"), 0.5, **FAST).value
@@ -260,6 +254,44 @@ def test_plus_minus_ordering_spot_checks():
     assert g_lo <= g_hi + 1e-9
     curve = modulus_curve(EUCLID, K("delta"), [0.3, 0.6, 0.9, 1.2], grid_n=128, refine_rounds=3)
     assert np.all(np.diff(curve.values()) > 0)
+
+
+# -- row independence of the objectives -------------------------------------------
+# extremize refines all kept cells in one objective call, which gives the same
+# values as one call per cell only if every row is computed on its own
+
+
+ROW_NORMS = (LP3, HEXAGON, _sample_polygon(np.random.default_rng(20160906)))
+
+
+def _angle_halves(norm, d):
+    """Two batches of (n, d) angles: a 9^d refine stencil around a vertex (or
+    around 1.0 on a smooth norm) and a coarse-scan-like mix of seeded random
+    angles and exact vertex angles, where support ties occur."""
+    special = np.mod(norm.special_angles(), 2.0 * math.pi)
+    axis = (special[0] if special.size else 1.0) + np.linspace(-0.5, 0.5, 9) * 1e-3
+    stencil = np.stack([m.ravel() for m in np.meshgrid(*([axis] * d), indexing="ij")], axis=-1)
+    mixed = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, (23, d))
+    if special.size:
+        exact = np.stack([m.ravel() for m in np.meshgrid(*([special] * d), indexing="ij")], axis=-1)
+        mixed = np.concatenate([mixed, exact])
+    return stencil, mixed
+
+
+@pytest.mark.parametrize("token", [*(k for k in KIND_NAMES if k not in ("delta-t", "beta-t")), "delta-t:0.3", "beta-t:0.7"])
+def test_objectives_are_row_independent(token):
+    kind = K(token)
+    two_angle = kind.name in ("rho", "milman-minus", "milman-plus")
+    for norm in ROW_NORMS:
+        if two_angle:
+            values = _objective_2d(norm, kind, 0.6)
+        else:
+            dual = norm.dual() if kind.name.startswith("d-") else None
+            single = _values_for(norm, kind, 0.6, dual, 9)
+            values = lambda P: single(P[:, 0])
+        A, B = _angle_halves(norm, 2 if two_angle else 1)
+        whole = values(np.concatenate([A, B]))
+        assert np.array_equal(whole, np.concatenate([values(A), values(B)])), norm
 
 
 # -- witnesses --------------------------------------------------------------------
