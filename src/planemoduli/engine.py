@@ -58,8 +58,8 @@ def extremize(
     ns = tuple(grid_n) if isinstance(grid_n, (tuple, list)) else (int(grid_n),) * d
     if len(ns) != d or any(int(n) < 64 for n in ns):
         raise InputError("grid_n must be at least 64 per dimension")
-    if refine_rounds < 1:
-        raise InputError("refine_rounds must be at least 1")
+    if isinstance(refine_rounds, bool) or not isinstance(refine_rounds, (int, np.integer)) or refine_rounds < 1:
+        raise InputError(f"refine_rounds must be an integer >= 1, got {refine_rounds!r}")
     if isinstance(keep_cells, bool) or not isinstance(keep_cells, (int, np.integer)) or keep_cells < 1:
         raise InputError(f"keep_cells must be an integer >= 1, got {keep_cells!r}")
     sign = 1.0 if mode == "sup" else -1.0
@@ -110,12 +110,16 @@ def extremize(
                 if step > 0.0:
                     lip = np.fmax(lip, np.max(np.abs(np.diff(V, axis=a + 1)), axis=cells) / step)
         width = width / 4.0
-    tol = lip * float(np.sqrt(np.sum(width * width)))
-    # in-order pick: a cell displaces the best only when strictly better, or
-    # when the best so far has a NaN tol (the first cell always counts)
+    with np.errstate(over="ignore"):
+        diam = float(np.sqrt(np.sum(width * width)))
+    if not np.isfinite(diam):  # widths above ~1e154 overflow when squared
+        wmax = float(np.max(width))
+        diam = wmax * float(np.sqrt(np.sum((width / wmax) ** 2)))
+    tol = lip * diam
+    # in-order pick: a cell displaces the best only when strictly better
     w = 0
     for i in range(1, k):
-        if sign * cand_val[i] > sign * cand_val[w] or np.isnan(tol[w]):
+        if sign * cand_val[i] > sign * cand_val[w]:
             w = i
     best_val, best_pt, best_tol = float(cand_val[w]), cand_pt[w].copy(), float(tol[w])
     return ExtremizeResult(value=best_val, point=best_pt, tol=best_tol, n_evals=n_evals)

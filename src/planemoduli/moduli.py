@@ -31,13 +31,14 @@ import numpy as np
 
 from .engine import extremize
 from .errors import DomainError, InfeasibleError, InputError, UnsupportedNormError
-from .norms import Norm, norm_to_json_dict, perp
+from .norms import Norm, norm_key, norm_to_json_dict, perp
 from .triangle import lambda_point_batch
 
 __all__ = [
     "ModulusKind",
     "CurveSample",
     "ModulusCurve",
+    "ChordScans",
     "KIND_NAMES",
     "delta_t",
     "beta_t",
@@ -247,6 +248,50 @@ def _chord_points(norm: Norm, thetas: np.ndarray, eps: float) -> tuple[np.ndarra
     return X, [Z[i * n : (i + 1) * n] for i in range(len(_CHORD_BRANCHES))]
 
 
+@dataclass(frozen=True)
+class _ChordScan:
+    thetas: np.ndarray
+    X: np.ndarray
+    Zs: tuple[np.ndarray, ...]
+
+
+class ChordScans:
+    """Coarse chord scans of one run, keyed by (norm, eps, grid_n).
+
+    The chord kinds (delta, banas, delta-t, beta-t, phi, gamma, d) bisect the
+    same chords ||x - z|| = eps on the same coarse theta grid and differ only
+    in what they evaluate on them. The first chord evaluation of a key is the
+    engine's coarse scan: its thetas, sphere points X and partners Zs are kept
+    read-only, and a later evaluation reuses them only when its theta array is
+    bitwise identical to the kept one. Refine stencils are never kept, and a
+    scan that raises is not kept either.
+    """
+
+    def __init__(self):
+        self._scans: dict[tuple, _ChordScan] = {}
+
+    def __len__(self) -> int:
+        return len(self._scans)
+
+    def chord_points(self, norm: Norm, eps: float, grid_n: int):
+        """_chord_points for one (norm, eps), through the kept coarse scan."""
+        key = (norm_key(norm), eps, int(grid_n))
+
+        def points(thetas: np.ndarray):
+            scan = self._scans.get(key)
+            if scan is not None and scan.thetas.shape == thetas.shape and scan.thetas.tobytes() == thetas.tobytes():
+                return scan.X, scan.Zs
+            X, Zs = _chord_points(norm, thetas, eps)
+            if scan is None:
+                scan = _ChordScan(np.array(thetas, dtype=float), X, tuple(Zs))
+                for a in (scan.thetas, X, *Zs):
+                    a.setflags(write=False)
+                self._scans[key] = scan
+            return X, Zs
+
+        return points
+
+
 def _special_theta_extras(norm: Norm, eps: float, chord_partners: bool) -> list[list[float]]:
     """Coarse-scan injection angles: polygon vertices, plus the angles whose
     chord partner at distance eps lands exactly on a vertex."""
@@ -274,15 +319,13 @@ def _midweight(kind: ModulusKind) -> float:
     return 0.5 if kind.name in ("delta", "banas") else float(kind.t)
 
 
-def _values_midpoint(norm: Norm, kind: ModulusKind, eps: float, thetas: np.ndarray) -> np.ndarray:
+def _values_midpoint(norm: Norm, kind: ModulusKind, X: np.ndarray, Zs) -> np.ndarray:
     t = _midweight(kind)
-    X, Zs = _chord_points(norm, thetas, eps)
     per_side = [1.0 - np.asarray(norm(t * X + (1.0 - t) * Z)) for Z in Zs]
     return _reduce(kind, np.stack(per_side))
 
 
-def _values_phi(norm: Norm, kind: ModulusKind, eps: float, thetas: np.ndarray) -> np.ndarray:
-    X, Zs = _chord_points(norm, thetas, eps)
+def _values_phi(norm: Norm, kind: ModulusKind, X: np.ndarray, Zs) -> np.ndarray:
     pm, pp = norm._support_batch(X)
     vals = []
     for Z in Zs:
@@ -292,8 +335,7 @@ def _values_phi(norm: Norm, kind: ModulusKind, eps: float, thetas: np.ndarray) -
     return _reduce(kind, np.stack(vals))
 
 
-def _values_gamma(norm: Norm, kind: ModulusKind, eps: float, thetas: np.ndarray) -> np.ndarray:
-    X, Zs = _chord_points(norm, thetas, eps)
+def _values_gamma(norm: Norm, kind: ModulusKind, X: np.ndarray, Zs) -> np.ndarray:
     pm1, pp1 = norm._support_batch(X)
     vals = []
     for Z in Zs:
@@ -354,8 +396,7 @@ def _d_minus_over_segments(dual: Norm, pm1, pp1, pm2, pp2, with_args: bool = Fal
     return (out, s_out, t_out) if with_args else out
 
 
-def _values_d(norm: Norm, kind: ModulusKind, eps: float, thetas: np.ndarray, dual: Norm) -> np.ndarray:
-    X, Zs = _chord_points(norm, thetas, eps)
+def _values_d(norm: Norm, kind: ModulusKind, X: np.ndarray, Zs, dual: Norm) -> np.ndarray:
     pm1, pp1 = norm._support_batch(X)
     vals = []
     for Z in Zs:
@@ -424,16 +465,18 @@ def _values_qn(norm: Norm, kind: ModulusKind, eps: float, thetas: np.ndarray, co
     return out
 
 
-def _values_for(norm: Norm, kind: ModulusKind, eps: float, dual: Norm | None, cone_samples: int):
+def _values_for(norm: Norm, kind: ModulusKind, eps: float, dual: Norm | None, cone_samples: int, chords):
+    """The objective on theta rows; chords maps thetas to (X, Zs) as
+    _chord_points does and serves the chord kinds."""
     name = kind.name
     if name in ("delta", "banas", "delta-t", "beta-t"):
-        return lambda th: _values_midpoint(norm, kind, eps, th)
+        return lambda th: _values_midpoint(norm, kind, *chords(th))
     if name in ("phi-minus", "phi-plus"):
-        return lambda th: _values_phi(norm, kind, eps, th)
+        return lambda th: _values_phi(norm, kind, *chords(th))
     if name in ("gamma-minus", "gamma-plus"):
-        return lambda th: _values_gamma(norm, kind, eps, th)
+        return lambda th: _values_gamma(norm, kind, *chords(th))
     if name in ("d-minus", "d-plus"):
-        return lambda th: _values_d(norm, kind, eps, th, dual)
+        return lambda th: _values_d(norm, kind, *chords(th), dual)
     if name in ("lambda-minus", "lambda-plus", "zeta-minus", "zeta-plus"):
         return lambda th: _values_qn(norm, kind, eps, th, cone_samples)
     raise InputError(f"kind {name!r} is not a single-angle kind")
@@ -568,11 +611,14 @@ def modulus(
     refine_rounds: int = 6,
     cone_samples: int = 17,
     grid_n_2d: int = 256,
+    chord_scans: ChordScans | None = None,
 ) -> CurveSample:
     """One point of a modulus curve, with its extremal witness.
 
     grid_n is the coarse angular resolution for single-angle kinds; the
     two-angle kinds (rho, milman) scan a grid_n_2d x grid_n_2d product grid.
+    chord_scans lets the chord kinds of one run share their coarse chord
+    bisection (see ChordScans); without it each call bisects its own.
     """
     eps = float(eps)
     lo, hi = kind_domain(kind)
@@ -607,7 +653,8 @@ def modulus(
     dual = norm.dual() if name.startswith("d-") else None
     chord_partners = name not in ("lambda-minus", "lambda-plus", "zeta-minus", "zeta-plus")
     extras = _special_theta_extras(norm, eps, chord_partners)
-    batch = _values_for(norm, kind, eps, dual, cone_samples)
+    scans = ChordScans() if chord_scans is None else chord_scans
+    batch = _values_for(norm, kind, eps, dual, cone_samples, scans.chord_points(norm, eps, grid_n))
     res = extremize(
         lambda P: batch(P[:, 0]),
         [(0.0, two_pi)],

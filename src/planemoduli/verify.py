@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__ as _TOOL_VERSION
 from .errors import DomainError, InfeasibleError, InputError, RepresentationError
 from .moduli import (
+    ChordScans,
     CurveSample,
     ModulusKind,
     area_additivity_check,
@@ -103,18 +104,22 @@ class ModulusCache:
     """Memoizes modulus samples keyed by (norm, kind, eps) at fixed settings.
 
     The sandwich checks evaluate the same curves at shared grid points many
-    times over; caching keeps the default suite inside its time budget.
+    times over; caching keeps the default suite inside its time budget. The
+    cache also holds the coarse chord scans of its run (ChordScans), so the
+    chord kinds at one (norm, eps) bisect the coarse grid once between them.
+    One cache serves one run and is dropped with it.
     """
 
     def __init__(self, settings: SuiteSettings):
         self.settings = settings
         self._data: dict = {}
+        self.chord_scans = ChordScans()
 
     def sample(self, norm: Norm, kind: ModulusKind, eps: float) -> CurveSample:
         key = (norm_key(norm), kind.token(), round(float(eps), 12))
         hit = self._data.get(key)
         if hit is None:
-            hit = modulus(norm, kind, eps, **self.settings.modulus_kwargs())
+            hit = modulus(norm, kind, eps, **self.settings.modulus_kwargs(), chord_scans=self.chord_scans)
             self._data[key] = hit
         return hit
 
@@ -369,6 +374,11 @@ def _nudged_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(float(lo + (hi - lo) * m) for m in master)
 
 
+def _check_eps_points(eps_points) -> None:
+    if isinstance(eps_points, bool) or not isinstance(eps_points, (int, np.integer)) or eps_points < 1:
+        raise InputError(f"eps_points must be an integer >= 1, got {eps_points!r}")
+
+
 def default_suite(
     norms: Sequence[Norm] | None = None,
     *,
@@ -377,6 +387,7 @@ def default_suite(
     checks: Iterable[str] | None = None,
 ) -> list[CheckSpec]:
     """Specs for the built-in checks over a norm family (standard_norms() default)."""
+    _check_eps_points(eps_points)
     if norms is None:
         norms = standard_norms()
     ids = default_check_ids() if checks is None else resolve_check_ids(checks)
@@ -907,6 +918,7 @@ def probe_conjectures(
         raise InputError(f"unknown probe family {family!r}; valid: {', '.join(PROBE_FAMILIES)}")
     if count < 1:
         raise InputError("count must be at least 1")
+    _check_eps_points(eps_points)
     settings = settings or _probe_settings()
     rng = np.random.default_rng(seed)
     norms, resampled = _sample_family(family, count, rng)

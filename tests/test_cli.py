@@ -158,6 +158,11 @@ def test_verify_unknown_check_exits_2(capsys):
     assert "valid ids" in err and "lambda-envelope" in err
 
 
+def test_verify_bad_eps_points_exits_2(capsys):
+    assert main(["verify", "--norm", "euclidean", "--checks", "zeta-envelope", "--eps-points", "-1"]) == 2
+    assert "eps_points" in capsys.readouterr().err
+
+
 def test_verify_failing_check_exits_1(tmp_path):
     if "test-cli-floor" not in check_ids():
         kind = ModulusKind("delta")
@@ -176,6 +181,11 @@ def test_verify_failing_check_exits_1(tmp_path):
 
 def test_probe_zero_count_is_usage_error():
     assert main(["probe", "--family", "random-lp", "--count", "0", "--seed", "1"]) == 2
+
+
+def test_probe_zero_eps_points_is_usage_error(capsys):
+    assert main(["probe", "--family", "random-lp", "--count", "1", "--seed", "1", "--eps-points", "0"]) == 2
+    assert "eps_points" in capsys.readouterr().err
 
 
 def test_probe_cli_deterministic(tmp_path):

@@ -64,6 +64,10 @@ def test_validation():
         extremize(f, [(0.0, 1.0)], keep_cells=-1)
     with pytest.raises(InputError):
         extremize(f, [(0.0, 1.0)], keep_cells=2.5)
+    with pytest.raises(InputError):
+        extremize(f, [(0.0, 1.0)], refine_rounds=2.5)
+    with pytest.raises(InputError):
+        extremize(f, [(0.0, 1.0)], refine_rounds=True)
 
 
 def _reference_extremize(objective, bounds, mode, grid_n, refine_rounds, keep_cells=8, extra_points=None):
@@ -85,7 +89,7 @@ def _reference_extremize(objective, bounds, mode, grid_n, refine_rounds, keep_ce
     k = min(keep_cells, len(P))
     top = np.argpartition(-score, k - 1)[:k]
     top = top[np.argsort(-score[top], kind="stable")]
-    best_val, best_pt, best_tol = float(vals[top[0]]), P[top[0]].copy(), float("nan")
+    best = None
     for idx in top:
         center, width = P[idx].copy(), widths0.copy()
         cand_val, cand_pt = float(vals[idx]), P[idx].copy()
@@ -109,10 +113,15 @@ def _reference_extremize(objective, bounds, mode, grid_n, refine_rounds, keep_ce
                     if step > 0.0:
                         lip = max(lip, float(np.max(np.abs(np.diff(V, axis=a)))) / step)
             width = width / 4.0
-        tol = lip * float(np.sqrt(np.sum(width * width)))
-        if (sign * cand_val > sign * best_val) or np.isnan(best_tol):
-            best_val, best_pt, best_tol = cand_val, cand_pt, tol
-    return best_val, best_pt, best_tol, n_evals
+        with np.errstate(over="ignore"):
+            diam = float(np.sqrt(np.sum(width * width)))
+        if not np.isfinite(diam):
+            wmax = float(np.max(width))
+            diam = wmax * float(np.sqrt(np.sum((width / wmax) ** 2)))
+        tol = lip * diam
+        if best is None or sign * cand_val > sign * best[0]:
+            best = (cand_val, cand_pt, tol)
+    return (*best, n_evals)
 
 
 def _bumpy_2d(P):
@@ -136,6 +145,9 @@ BATCH_CASES = {
     "2d": (_bumpy_2d, [(-1.0, 2.0), (0.0, 3.0)], "inf", 64, 4, 8, None),
     "2d-constant": (lambda P: np.zeros(len(P)), [(0.0, 1.0), (0.0, 1.0)], "inf", 64, 2, 8, None),
     "2d-extra-points": (_bumpy_2d, [(-1.0, 2.0), (0.0, 3.0)], "sup", 64, 3, 3, [[0.5, 0.5], [1.9, 2.9], [-5.0, 9.0]]),
+    # box widths whose squares overflow: tol must stay finite and the first
+    # of the tied cells must win
+    "1d-huge-box": (lambda P: (P[:, 0] > 5e159).astype(float), [(0.0, 1e160)], "sup", 64, 3, 3, None),
 }
 
 

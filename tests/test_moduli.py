@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from planemoduli import (
     DomainError,
+    InfeasibleError,
     InputError,
     ModulusKind,
     UnsupportedNormError,
@@ -27,8 +28,9 @@ from planemoduli import (
     regular_polygon_norm,
     rows_to_csv,
 )
-from planemoduli.moduli import KIND_NAMES, _objective_2d, _values_for
-from planemoduli.verify import _sample_polygon
+from planemoduli import moduli
+from planemoduli.moduli import KIND_NAMES, ChordScans, _chord_points, _objective_2d, _special_theta_extras, _values_for
+from planemoduli.verify import ModulusCache, SuiteSettings, _sample_polygon
 
 EUCLID = euclidean_norm()
 SQUARE = lp_norm("inf")
@@ -287,11 +289,75 @@ def test_objectives_are_row_independent(token):
             values = _objective_2d(norm, kind, 0.6)
         else:
             dual = norm.dual() if kind.name.startswith("d-") else None
-            single = _values_for(norm, kind, 0.6, dual, 9)
+            single = _values_for(norm, kind, 0.6, dual, 9, lambda th: _chord_points(norm, th, 0.6))
             values = lambda P: single(P[:, 0])
         A, B = _angle_halves(norm, 2 if two_angle else 1)
         whole = values(np.concatenate([A, B]))
         assert np.array_equal(whole, np.concatenate([values(A), values(B)])), norm
+
+
+# -- coarse chord scans shared across the chord kinds of one run -----------------
+
+CHORD_TOKENS = ("delta", "banas", "delta-t:0.3", "beta-t:0.7", "phi-minus", "phi-plus", "gamma-minus", "gamma-plus", "d-minus", "d-plus")
+SCAN_SETTINGS = SuiteSettings(grid_n=96, refine_rounds=3, cone_samples=9, grid_n_2d=64)
+
+
+@pytest.mark.parametrize("norm", ROW_NORMS, ids=("lp3", "hexagon", "random-polygon"))
+def test_shared_chord_scans_match_fresh_points(norm):
+    cache = ModulusCache(SCAN_SETTINGS)
+    for eps in (0.7, 1.6):
+        for token in CHORD_TOKENS:
+            shared = cache.sample(norm, K(token), eps)
+            assert shared == modulus(norm, K(token), eps, **SCAN_SETTINGS.modulus_kwargs()), (token, eps)
+    assert len(cache.chord_scans) == 2
+
+
+@pytest.mark.parametrize("norm", ROW_NORMS, ids=("lp3", "hexagon", "random-polygon"))
+def test_chord_kinds_bisect_the_coarse_grid_once(norm, monkeypatch):
+    eps = 0.9
+    rows = []
+    bisect = moduli._chord_offsets_rows
+
+    def counted(norm, thetas, *args):
+        rows.append(len(thetas))
+        return bisect(norm, thetas, *args)
+
+    monkeypatch.setattr(moduli, "_chord_offsets_rows", counted)
+    coarse_rows = len(moduli._CHORD_BRANCHES) * (SCAN_SETTINGS.grid_n + len(_special_theta_extras(norm, eps, True)))
+    cache = ModulusCache(SCAN_SETTINGS)
+    for token in CHORD_TOKENS:
+        cache.sample(norm, K(token), eps)
+    assert rows.count(coarse_rows) == 1
+    rows.clear()
+    for token in CHORD_TOKENS:
+        modulus(norm, K(token), eps, **SCAN_SETTINGS.modulus_kwargs())
+    assert rows.count(coarse_rows) == len(CHORD_TOKENS)
+
+
+def test_chord_scans_are_read_only_and_keyed_on_exact_eps():
+    scans = ChordScans()
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    points = scans.chord_points(HEXAGON, 0.7, 64)
+    X, Zs = points(thetas)
+    again = points(thetas.copy())
+    assert again[0] is X and all(a is b for a, b in zip(again[1], Zs))
+    for arr in (X, *Zs):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    # a different theta array is bisected afresh and not kept
+    other = points(thetas[:10])
+    assert other[0] is not X and len(scans) == 1
+    # eps equal to 12 digits but not exactly is a different scan
+    scans.chord_points(HEXAGON, 0.7 + 1e-13, 64)(thetas)
+    assert len(scans) == 2
+
+
+def test_infeasible_chord_scan_is_not_kept():
+    scans = ChordScans()
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    with pytest.raises(InfeasibleError):
+        scans.chord_points(HEXAGON, 2.5, 64)(thetas)
+    assert len(scans) == 0
 
 
 # -- witnesses --------------------------------------------------------------------

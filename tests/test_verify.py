@@ -77,6 +77,9 @@ def test_spec_validation():
         CheckSpec("lambda-envelope", "inequality", (EUCLID,), (0.5,), -1.0)
     with pytest.raises(InputError):
         CheckSpec("lambda-envelope", "inequality", (EUCLID,), (), 1e-3)
+    for bad in (0, -3, 2.5, True):
+        with pytest.raises(InputError, match="eps_points"):
+            default_suite([EUCLID], eps_points=bad)
 
 
 def test_run_suite_rejects_unknown_and_duplicate_ids():
@@ -210,6 +213,8 @@ def test_probe_rejects_bad_arguments():
         probe_conjectures("hyperbolic", 3, seed=1)
     with pytest.raises(InputError, match="count"):
         probe_conjectures("random-lp", 0, seed=1)
+    with pytest.raises(InputError, match="eps_points"):
+        probe_conjectures("random-lp", 1, seed=1, eps_points=0)
 
 
 def test_probe_euclidean_margins_are_tiny():
