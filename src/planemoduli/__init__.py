@@ -42,7 +42,7 @@ from .triangle import (
     projection_bound_margin,
     quasi_normal_cone,
 )
-from .engine import ExtremizeResult, extremize
+from .engine import ExtremizeResult, Problem, extremize, extremize_batch
 from .moduli import (
     KIND_NAMES,
     AreaAdditivity,
@@ -58,6 +58,7 @@ from .moduli import (
     hilbert_reference,
     kind_domain,
     modulus,
+    modulus_batch,
     modulus_curve,
     parse_curve_csv,
     reevaluate_witness,

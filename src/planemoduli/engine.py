@@ -4,21 +4,29 @@ A coarse uniform scan (cell centers) keeps the best handful of cells, then all
 kept cells are refined together by repeated subdivision: nine samples per axis
 around each cell, recenter each cell on its best, shrink the cells by a factor
 of four. Each round stacks the stencils of every kept cell into one objective
-call, so the objective must compute each row on its own: a row's value may not
-depend on the other rows of the batch. That keeps the result bit-identical to
-refining the cells one at a time. No randomness anywhere, so identical inputs
-give identical results.
+call. The search is written once, as a generator that yields point arrays and
+receives their values: ``extremize`` drives one search, ``extremize_batch``
+drives many independent searches in lockstep, one objective call per step for
+all of them. Problems of one batch share grid_n, refine_rounds and keep_cells,
+so every search takes the same 1 + refine_rounds steps; each has its own
+bounds, mode and extra_points.
+
+Stacking rows from several cells (and several problems) is bit-identical to
+evaluating them apart only if the objective computes each row on its own: a
+row's value may not depend on the other rows of a batch of two or more rows.
+No randomness anywhere, so identical inputs give identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
 
-__all__ = ["ExtremizeResult", "extremize"]
+__all__ = ["ExtremizeResult", "Problem", "extremize", "extremize_batch"]
 
 
 @dataclass
@@ -29,26 +37,18 @@ class ExtremizeResult:
     n_evals: int
 
 
-def extremize(
-    objective,
-    bounds,
-    mode: str = "inf",
-    grid_n=1024,
-    refine_rounds: int = 6,
-    keep_cells: int = 8,
-    extra_points=None,
-) -> ExtremizeResult:
-    """Extremize a vectorized objective over a box.
+class Problem(NamedTuple):
+    """One search of an extremize_batch call: its box, mode and injected
+    points, as the extremize arguments of the same names."""
 
-    objective maps an (N, d) array of parameter points to (N,) values; bounds
-    is a sequence of (lo, hi) pairs; grid_n is the coarse resolution per axis
-    (int or per-axis tuple, at least 64). extra_points are exact parameter
-    points injected into the coarse scan (e.g. polygon vertex angles).
+    bounds: object
+    mode: str = "inf"
+    extra_points: object = None
 
-    The best keep_cells coarse cells are refined in lockstep, one objective
-    call per round on all their stencils. The objective must therefore be
-    row-independent: each output value depends only on its own input row.
-    """
+
+def _search(bounds, mode, grid_n, refine_rounds, keep_cells, extra_points):
+    """The coarse-then-refine search: yields each step's (N, d) points,
+    receives their (N,) values, and returns the ExtremizeResult."""
     if mode not in ("inf", "sup"):
         raise InputError(f"mode must be 'inf' or 'sup', got {mode!r}")
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
@@ -67,15 +67,18 @@ def extremize(
     axes = [lo + (np.arange(n) + 0.5) * (hi - lo) / n for (lo, hi), n in zip(bounds, ns)]
     widths0 = np.array([(hi - lo) / n for (lo, hi), n in zip(bounds, ns)])
     lo, hi = np.array(bounds).T
-    mesh = np.meshgrid(*axes, indexing="ij")
-    P = np.stack([m.ravel() for m in mesh], axis=-1)
+    P = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     if extra_points is not None and len(extra_points) > 0:
         E = np.clip(np.array(extra_points, dtype=float).reshape(-1, d), lo, hi)
         P = np.concatenate([P, E], axis=0)
 
-    vals = np.asarray(objective(P), dtype=float)
-    if vals.shape != (len(P),):
-        raise InputError("objective must return one value per point")
+    def values_of(Q):
+        v = np.asarray((yield Q), dtype=float)
+        if v.shape != (len(Q),):
+            raise InputError("objective must return one value per point")
+        return v
+
+    vals = yield from values_of(P)
     n_evals = len(P)
     score = sign * vals
     k = min(int(keep_cells), len(P))
@@ -89,12 +92,13 @@ def extremize(
     center = P[top]
     cand_val = vals[top]
     cand_pt = P[top]
+    del P, vals, score  # a suspended search keeps its locals while the rest of its batch runs
     width = widths0.copy()
     lip = np.zeros(k)
     for r in range(refine_rounds):
         grids = np.clip(center[:, :, None] + offs * width[:, None], lo[:, None], hi[:, None])
         Q = grids[:, axis_ix, stencil].transpose(0, 2, 1)  # (k, 9^d, d), meshgrid "ij" order
-        qv = np.asarray(objective(Q.reshape(-1, d)), dtype=float).reshape(k, 9**d)
+        qv = (yield from values_of(Q.reshape(-1, d))).reshape(k, 9**d)
         n_evals += qv.size
         j = np.argmax(sign * qv, axis=1)
         qj = qv[rows, j]
@@ -123,3 +127,63 @@ def extremize(
             w = i
     best_val, best_pt, best_tol = float(cand_val[w]), cand_pt[w].copy(), float(tol[w])
     return ExtremizeResult(value=best_val, point=best_pt, tol=best_tol, n_evals=n_evals)
+
+
+def extremize(
+    objective,
+    bounds,
+    mode: str = "inf",
+    grid_n=1024,
+    refine_rounds: int = 6,
+    keep_cells: int = 8,
+    extra_points=None,
+) -> ExtremizeResult:
+    """Extremize a vectorized objective over a box.
+
+    objective maps an (N, d) array of parameter points to (N,) values; bounds
+    is a sequence of (lo, hi) pairs; grid_n is the coarse resolution per axis
+    (int or per-axis tuple, at least 64). extra_points are exact parameter
+    points injected into the coarse scan (e.g. polygon vertex angles).
+
+    The best keep_cells coarse cells are refined in lockstep, one objective
+    call per round on all their stencils. The objective must therefore be
+    row-independent on batches of two or more rows.
+    """
+    search = _search(bounds, mode, grid_n, refine_rounds, keep_cells, extra_points)
+    points = next(search)
+    while True:
+        try:
+            points = search.send(objective(points))
+        except StopIteration as done:
+            return done.value
+
+
+def extremize_batch(
+    objective,
+    problems,
+    grid_n=1024,
+    refine_rounds: int = 6,
+    keep_cells: int = 8,
+) -> list[ExtremizeResult]:
+    """Run independent extremize searches in lockstep.
+
+    problems is a sequence of Problem(bounds, mode, extra_points). At each of
+    the 1 + refine_rounds steps, objective receives a list with one (N_i, d_i)
+    point array per problem, in problem order, and returns a list of the
+    matching (N_i,) value arrays. Results come back in problem order and equal
+    what extremize returns for each problem on its own, given a row-independent
+    objective.
+    """
+    searches = [_search(p.bounds, p.mode, grid_n, refine_rounds, keep_cells, p.extra_points) for p in problems]
+    points, results = [next(s) for s in searches], []
+    while points:
+        values = list(objective(points))
+        if len(values) != len(points):
+            raise InputError("objective must return one value array per problem")
+        points, results = [], []
+        for search, v in zip(searches, values):
+            try:
+                points.append(search.send(v))
+            except StopIteration as done:
+                results.append(done.value)
+    return results

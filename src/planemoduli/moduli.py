@@ -19,7 +19,9 @@ quasi-orthogonal to x:
 Every extremization is the deterministic grid-refine scheme from
 :mod:`planemoduli.engine`, with polygon vertex angles (and the angles whose
 chord partner is a vertex) injected into the coarse scan so non-smooth
-extremal configurations are hit exactly.
+extremal configurations are hit exactly. ``modulus_batch`` solves the
+single-angle points of one norm in lockstep, one objective call per engine
+step for all of them, with the same results as one ``modulus`` call per point.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import extremize
+from .engine import Problem, extremize, extremize_batch
 from .errors import DomainError, InfeasibleError, InputError, UnsupportedNormError
 from .norms import Norm, norm_key, norm_to_json_dict, perp
 from .triangle import lambda_point_batch
@@ -44,6 +46,7 @@ __all__ = [
     "beta_t",
     "kind_domain",
     "modulus",
+    "modulus_batch",
     "modulus_curve",
     "hilbert_reference",
     "reevaluate_witness",
@@ -193,7 +196,7 @@ def hilbert_reference(kind: ModulusKind, eps: float) -> float:
 
 
 def _chord_offsets_rows(
-    norm: Norm, thetas: np.ndarray, targets: np.ndarray, eps: float, sides: np.ndarray, is_far: np.ndarray
+    norm: Norm, thetas: np.ndarray, targets: np.ndarray, eps, sides: np.ndarray, is_far: np.ndarray
 ) -> np.ndarray:
     """Per row, an arc offset u in [0, pi] with ||S(theta + side*u) - target|| = eps.
 
@@ -201,17 +204,20 @@ def _chord_offsets_rows(
     the antipode, so bisection applies. The chord-eps level set may be a flat
     arc (polygon facets); rows with is_far False converge to its end nearest
     the start, rows with is_far True to the opposite end (both coincide for
-    strictly convex norms). side and edge vary per row so that all branches
-    share one bisection loop.
+    strictly convex norms). side, edge and eps (a scalar or one value per row)
+    vary per row so that all branches and chord lengths share one bisection
+    loop.
     """
     lo = np.zeros_like(thetas)
     hi = np.full_like(thetas, np.pi)
     top = np.asarray(norm(norm.sphere_point(thetas + sides * np.pi) - targets))
-    if np.any(top < eps - 1e-9):
-        raise InfeasibleError(f"no chord of length {eps} from some sphere point")
+    short = top < eps - 1e-9
+    if np.any(short):
+        eps_short = float(np.broadcast_to(eps, short.shape)[short][0])
+        raise InfeasibleError(f"no chord of length {eps_short} from some sphere point")
     # a small band around eps keeps rounding noise on flat stretches from
     # flipping the membership test and collapsing the far edge onto the near one
-    band = 1e-11 * max(1.0, eps)
+    band = 1e-11 * np.maximum(1.0, eps)
     near_thr = eps - band
     far_thr = eps + band
     for _ in range(CHORD_ITERATIONS):
@@ -223,91 +229,163 @@ def _chord_offsets_rows(
     return np.where(is_far, lo, hi)
 
 
-def _chord_offsets(
-    norm: Norm, thetas: np.ndarray, targets: np.ndarray, eps: float, side: float, edge: str = "near"
-) -> np.ndarray:
-    """Single-branch chord offsets; see _chord_offsets_rows."""
-    sides = np.full(thetas.shape, float(side))
-    is_far = np.full(thetas.shape, edge == "far")
-    return _chord_offsets_rows(norm, thetas, targets, eps, sides, is_far)
-
-
 _CHORD_BRANCHES = ((1.0, "near"), (1.0, "far"), (-1.0, "near"), (-1.0, "far"))
 
 
-def _chord_points(norm: Norm, thetas: np.ndarray, eps: float) -> tuple[np.ndarray, list[np.ndarray]]:
+def _chord_points(norm: Norm, thetas: np.ndarray, eps) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sphere points X at the given angles and the candidate chord partners Z
-    with ||X - Z|| = eps: both ends of the level set on both arc sides."""
+    with ||X - Z|| = eps (a scalar or one value per angle): both ends of the
+    level set on both arc sides."""
     X = norm.sphere_point(thetas)
     n = len(thetas)
+    b = len(_CHORD_BRANCHES)
     sides = np.repeat([s for s, _ in _CHORD_BRANCHES], n)
     is_far = np.repeat([e == "far" for _, e in _CHORD_BRANCHES], n)
-    th = np.tile(thetas, len(_CHORD_BRANCHES))
-    u = _chord_offsets_rows(norm, th, np.tile(X, (len(_CHORD_BRANCHES), 1)), eps, sides, is_far)
+    th = np.tile(thetas, b)
+    u = _chord_offsets_rows(norm, th, np.tile(X, (b, 1)), np.tile(np.broadcast_to(eps, (n,)), b), sides, is_far)
     Z = norm.sphere_point(th + sides * u)
-    return X, [Z[i * n : (i + 1) * n] for i in range(len(_CHORD_BRANCHES))]
+    return X, [Z[i * n : (i + 1) * n] for i in range(b)]
 
 
-@dataclass(frozen=True)
 class _ChordScan:
-    thetas: np.ndarray
-    X: np.ndarray
-    Zs: tuple[np.ndarray, ...]
+    """Sphere points X at the angles thetas and their chord partners Zs, as
+    _chord_points returns them, with the support endpoints of X and of each Z
+    computed once, on first use."""
+
+    def __init__(self, norm: Norm, thetas: np.ndarray, X: np.ndarray, Zs):
+        self.norm, self.thetas, self.X, self.Zs = norm, thetas, X, tuple(Zs)
+        self._frozen = False
+        self._x_support = None
+        self._z_supports = None
+
+    def freeze(self) -> "_ChordScan":
+        """Own copies of the arrays, read-only from now on, supports included."""
+        self.thetas = np.array(self.thetas, dtype=float)
+        self.X, self.Zs = self.X.copy(), tuple(Z.copy() for Z in self.Zs)
+        self._frozen = True
+        self._read_only(self.thetas, self.X, *self.Zs)
+        return self
+
+    def _read_only(self, *arrays):
+        if self._frozen:
+            for a in arrays:
+                a.setflags(write=False)
+        return arrays
+
+    def x_support(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._x_support is None:
+            self._x_support = self._read_only(*self.norm._support_batch(self.X))
+        return self._x_support
+
+    def z_supports(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        if self._z_supports is None:
+            self._z_supports = [self._read_only(*self.norm._support_batch(Z)) for Z in self.Zs]
+        return self._z_supports
+
+
+def _chord_scans(norm: Norm, requests) -> list[_ChordScan]:
+    """One _ChordScan per (eps, thetas) request, all bisected in one call."""
+    thetas = [th for _, th in requests]
+    sizes = [len(th) for th in thetas]
+    X, Zs = _chord_points(norm, np.concatenate(thetas), np.repeat([eps for eps, _ in requests], sizes))
+    cuts = np.cumsum(sizes)[:-1]
+    parts = zip(np.split(X, cuts), *(np.split(Z, cuts) for Z in Zs))
+    return [_ChordScan(norm, th, x, zs) for th, (x, *zs) in zip(thetas, parts)]
+
+
+def _partner_angles(norm: Norm, base: np.ndarray, eps_values) -> list[np.ndarray]:
+    """Per eps, the angles whose near chord partner at distance eps is the
+    sphere point at a base angle, on both arc sides, in one bisection."""
+    n, m = len(base), len(eps_values)
+    sides = np.tile(np.repeat([1.0, -1.0], n), m)
+    th = np.tile(base, 2 * m)
+    targets = np.tile(norm.sphere_point(base), (2 * m, 1))
+    u = _chord_offsets_rows(norm, th, targets, np.repeat(eps_values, 2 * n), sides, np.zeros(2 * n * m, dtype=bool))
+    return np.split(np.mod(th + sides * u, 2.0 * np.pi), m)
+
+
+def _each_or_error(solve, requests) -> list:
+    """solve(requests), which returns one result per request; when it raises
+    InfeasibleError, each request is solved alone, so that the error goes only
+    to the requests that raise it on their own."""
+    if not requests:
+        return []
+    try:
+        return solve(requests)
+    except InfeasibleError as exc:
+        if len(requests) == 1:
+            return [exc]
+        return [r for req in requests for r in _each_or_error(solve, [req])]
 
 
 class ChordScans:
-    """Coarse chord scans of one run, keyed by (norm, eps, grid_n).
+    """Chord data of one run: coarse chord scans keyed by (norm, eps, grid_n),
+    and vertex chord-partner angles keyed by (norm, eps).
 
     The chord kinds (delta, banas, delta-t, beta-t, phi, gamma, d) bisect the
     same chords ||x - z|| = eps on the same coarse theta grid and differ only
-    in what they evaluate on them. The first chord evaluation of a key is the
+    in what they evaluate on them. The first chord scan of a key is the
     engine's coarse scan: its thetas, sphere points X and partners Zs are kept
-    read-only, and a later evaluation reuses them only when its theta array is
-    bitwise identical to the kept one. Refine stencils are never kept, and a
-    scan that raises is not kept either.
+    read-only, together with their support endpoints once a kind needs them,
+    and a later request reuses the scan only when its theta array is bitwise
+    identical to the kept one. Refine stencils are never kept, and a scan that
+    raises is not kept either. The partner angles of polygon vertices, which
+    every chord kind injects into its coarse scan, are kept the same way.
     """
 
     def __init__(self):
         self._scans: dict[tuple, _ChordScan] = {}
+        self._partners: dict[tuple, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._scans)
 
-    def chord_points(self, norm: Norm, eps: float, grid_n: int):
-        """_chord_points for one (norm, eps), through the kept coarse scan."""
-        key = (norm_key(norm), eps, int(grid_n))
+    def chords(self, norm: Norm, grid_n: int, requests) -> list:
+        """A _ChordScan per (eps, thetas) request, or the InfeasibleError the
+        request raises alone. Requests that match a kept scan reuse it; all
+        others go through one bisection, in which identical requests (equal
+        eps and thetas) are solved once."""
+        nkey = norm_key(norm)
+        out = [None] * len(requests)
+        groups: dict[tuple, list[int]] = {}
+        for i, (eps, th) in enumerate(requests):
+            kept = self._scans.get((nkey, eps, int(grid_n)))
+            if kept is not None and kept.thetas.shape == th.shape and kept.thetas.tobytes() == th.tobytes():
+                out[i] = kept
+            else:
+                groups.setdefault((eps, th.tobytes()), []).append(i)
+        firsts = [requests[ix[0]] for ix in groups.values()]
+        for (eps, _), ix, scan in zip(groups, groups.values(), _each_or_error(lambda r: _chord_scans(norm, r), firsts)):
+            key = (nkey, eps, int(grid_n))
+            if not isinstance(scan, InfeasibleError) and key not in self._scans:
+                self._scans[key] = scan = scan.freeze()
+            for i in ix:
+                out[i] = scan
+        return out
 
-        def points(thetas: np.ndarray):
-            scan = self._scans.get(key)
-            if scan is not None and scan.thetas.shape == thetas.shape and scan.thetas.tobytes() == thetas.tobytes():
-                return scan.X, scan.Zs
-            X, Zs = _chord_points(norm, thetas, eps)
-            if scan is None:
-                scan = _ChordScan(np.array(thetas, dtype=float), X, tuple(Zs))
-                for a in (scan.thetas, X, *Zs):
-                    a.setflags(write=False)
-                self._scans[key] = scan
-            return X, Zs
-
-        return points
-
-
-def _special_theta_extras(norm: Norm, eps: float, chord_partners: bool) -> list[list[float]]:
-    """Coarse-scan injection angles: polygon vertices, plus the angles whose
-    chord partner at distance eps lands exactly on a vertex."""
-    base = np.mod(norm.special_angles(), 2.0 * np.pi)
-    if base.size == 0:
-        return []
-    angles = [base]
-    if chord_partners and 0.0 < eps <= 2.0:
-        V = norm.sphere_point(base)
-        for side in (1.0, -1.0):
-            u = _chord_offsets(norm, base, V, eps, side)
-            angles.append(np.mod(base + side * u, 2.0 * np.pi))
-    return [[float(a)] for a in np.concatenate(angles)]
+    def partner_angles(self, norm: Norm, eps_values) -> list:
+        """Per eps, the coarse-scan angles whose chord partner at distance eps
+        lands exactly on a polygon vertex (empty for smooth norms), or the
+        InfeasibleError that eps raises alone. The eps values not kept yet are
+        bisected in one call."""
+        nkey = norm_key(norm)
+        base = np.mod(norm.special_angles(), 2.0 * np.pi)
+        if base.size == 0:
+            return [base] * len(eps_values)
+        missing = [e for e in dict.fromkeys(eps_values) if (nkey, e) not in self._partners]
+        found = dict(zip(missing, _each_or_error(lambda es: _partner_angles(norm, base, es), missing)))
+        for e, angles in found.items():
+            if not isinstance(angles, InfeasibleError):
+                angles.setflags(write=False)
+                self._partners[(nkey, e)] = angles
+        return [found[e] if e in found else self._partners[(nkey, e)] for e in eps_values]
 
 
 # -- family evaluators ---------------------------------------------------------
+
+_MIDPOINT_KINDS = frozenset({"delta", "banas", "delta-t", "beta-t"})
+_QN_KINDS = frozenset({"lambda-minus", "lambda-plus", "zeta-minus", "zeta-plus"})
+_TWO_ANGLE_KINDS = frozenset({"rho", "milman-minus", "milman-plus"})
 
 
 def _reduce(kind: ModulusKind, stack: np.ndarray) -> np.ndarray:
@@ -319,28 +397,27 @@ def _midweight(kind: ModulusKind) -> float:
     return 0.5 if kind.name in ("delta", "banas") else float(kind.t)
 
 
-def _values_midpoint(norm: Norm, kind: ModulusKind, X: np.ndarray, Zs) -> np.ndarray:
+def _values_midpoint(norm: Norm, kind: ModulusKind, scan: _ChordScan) -> np.ndarray:
     t = _midweight(kind)
-    per_side = [1.0 - np.asarray(norm(t * X + (1.0 - t) * Z)) for Z in Zs]
+    per_side = [1.0 - np.asarray(norm(t * scan.X + (1.0 - t) * Z)) for Z in scan.Zs]
     return _reduce(kind, np.stack(per_side))
 
 
-def _values_phi(norm: Norm, kind: ModulusKind, X: np.ndarray, Zs) -> np.ndarray:
-    pm, pp = norm._support_batch(X)
+def _values_phi(norm: Norm, kind: ModulusKind, scan: _ChordScan) -> np.ndarray:
+    pm, pp = scan.x_support()
     vals = []
-    for Z in Zs:
-        D = X - Z
+    for Z in scan.Zs:
+        D = scan.X - Z
         for P in (pm, pp):
             vals.append(np.sum(P * D, axis=-1))
     return _reduce(kind, np.stack(vals))
 
 
-def _values_gamma(norm: Norm, kind: ModulusKind, X: np.ndarray, Zs) -> np.ndarray:
-    pm1, pp1 = norm._support_batch(X)
+def _values_gamma(norm: Norm, kind: ModulusKind, scan: _ChordScan) -> np.ndarray:
+    pm1, pp1 = scan.x_support()
     vals = []
-    for Z in Zs:
-        D = X - Z
-        pm2, pp2 = norm._support_batch(Z)
+    for Z, (pm2, pp2) in zip(scan.Zs, scan.z_supports()):
+        D = scan.X - Z
         for P1 in (pm1, pp1):
             for P2 in (pm2, pp2):
                 vals.append(np.sum((P1 - P2) * D, axis=-1))
@@ -396,11 +473,10 @@ def _d_minus_over_segments(dual: Norm, pm1, pp1, pm2, pp2, with_args: bool = Fal
     return (out, s_out, t_out) if with_args else out
 
 
-def _values_d(norm: Norm, kind: ModulusKind, X: np.ndarray, Zs, dual: Norm) -> np.ndarray:
-    pm1, pp1 = norm._support_batch(X)
+def _values_d(norm: Norm, kind: ModulusKind, scan: _ChordScan, dual: Norm) -> np.ndarray:
+    pm1, pp1 = scan.x_support()
     vals = []
-    for Z in Zs:
-        pm2, pp2 = norm._support_batch(Z)
+    for pm2, pp2 in scan.z_supports():
         if kind.name == "d-plus":
             # convex in (s, t): the sup sits at segment endpoints
             for P1 in (pm1, pp1):
@@ -409,6 +485,16 @@ def _values_d(norm: Norm, kind: ModulusKind, X: np.ndarray, Zs, dual: Norm) -> n
         else:
             vals.append(_d_minus_over_segments(dual, pm1, pp1, pm2, pp2))
     return _reduce(kind, np.stack(vals))
+
+
+def _chord_values(norm: Norm, kind: ModulusKind, scan: _ChordScan, dual: Norm | None) -> np.ndarray:
+    if kind.name in _MIDPOINT_KINDS:
+        return _values_midpoint(norm, kind, scan)
+    if kind.name.startswith("phi"):
+        return _values_phi(norm, kind, scan)
+    if kind.name.startswith("gamma"):
+        return _values_gamma(norm, kind, scan)
+    return _values_d(norm, kind, scan, dual)
 
 
 def _qn_directions(norm: Norm, X: np.ndarray, cone_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -448,38 +534,82 @@ def _qn_directions(norm: Norm, X: np.ndarray, cone_samples: int) -> tuple[np.nda
     return np.concatenate(rows_list), np.concatenate(X_list), np.concatenate(Y_list)
 
 
-def _values_qn(norm: Norm, kind: ModulusKind, eps: float, thetas: np.ndarray, cone_samples: int) -> np.ndarray:
-    X = norm.sphere_point(thetas)
+def _values_qn(norm: Norm, points, thetas, cone_samples: int) -> list[np.ndarray]:
+    """Values of the lambda and zeta points (kind, eps) on their theta arrays:
+    one sphere and quasi-normal pass for all of them, then one lambda
+    bisection and one norm evaluation, each with one eps per row."""
+    sizes = [len(th) for th in thetas]
+    per_row = lambda values: np.repeat(values, sizes)  # noqa: E731
+    X = norm.sphere_point(np.concatenate(thetas))
     rows, Xc, Yc = _qn_directions(norm, X, cone_samples)
-    fill = -math.inf if kind.is_sup() else math.inf
-    out = np.full(len(thetas), fill)
-    reducer = np.maximum.at if kind.is_sup() else np.minimum.at
     # both orientations of each quasi-normal direction, in one batch
+    rows2 = np.concatenate([rows, rows])
     X2 = np.concatenate([Xc, Xc])
     Y2 = np.concatenate([Yc, -Yc])
-    if kind.name.startswith("lambda"):
-        v = lambda_point_batch(norm, X2, Y2, eps, tol=_ENGINE_LAMBDA_TOL)
-    else:
-        v = np.asarray(norm(X2 + eps * Y2))
-    reducer(out, np.concatenate([rows, rows]), v)
-    return out
+    E2 = per_row([eps for _, eps in points])[rows2]
+    lam = per_row([kind.name.startswith("lambda") for kind, _ in points])[rows2]
+    v = np.empty(len(X2))
+    if np.any(lam):
+        v[lam] = lambda_point_batch(norm, X2[lam], Y2[lam], E2[lam], tol=_ENGINE_LAMBDA_TOL)
+    if not np.all(lam):
+        zeta = ~lam
+        v[zeta] = np.asarray(norm(X2[zeta] + E2[zeta, None] * Y2[zeta]))
+    hi = np.full(len(X), -math.inf)
+    lo = np.full(len(X), math.inf)
+    np.maximum.at(hi, rows2, v)
+    np.minimum.at(lo, rows2, v)
+    out = np.where(per_row([kind.is_sup() for kind, _ in points]), hi, lo)
+    return np.split(out, np.cumsum(sizes)[:-1])
 
 
-def _values_for(norm: Norm, kind: ModulusKind, eps: float, dual: Norm | None, cone_samples: int, chords):
-    """The objective on theta rows; chords maps thetas to (X, Zs) as
-    _chord_points does and serves the chord kinds."""
-    name = kind.name
-    if name in ("delta", "banas", "delta-t", "beta-t"):
-        return lambda th: _values_midpoint(norm, kind, *chords(th))
-    if name in ("phi-minus", "phi-plus"):
-        return lambda th: _values_phi(norm, kind, *chords(th))
-    if name in ("gamma-minus", "gamma-plus"):
-        return lambda th: _values_gamma(norm, kind, *chords(th))
-    if name in ("d-minus", "d-plus"):
-        return lambda th: _values_d(norm, kind, *chords(th), dual)
-    if name in ("lambda-minus", "lambda-plus", "zeta-minus", "zeta-plus"):
-        return lambda th: _values_qn(norm, kind, eps, th, cone_samples)
-    raise InputError(f"kind {name!r} is not a single-angle kind")
+def _objective_1d(norm: Norm, points, dual: Norm | None, cone_samples: int, chords, failed: dict):
+    """The lockstep objective of single-angle points (kind, eps): a list of
+    (N_i, 1) theta arrays in, one per point, and their value arrays out.
+
+    chords(requests) maps (eps, thetas) requests to chord scans or to the
+    InfeasibleError a request raises alone, as ChordScans.chords does; all
+    chord kinds of a step share one such call, and the lambda and zeta kinds
+    one _values_qn pass. A point whose scan raises is recorded in failed
+    (index -> error) and gets NaN values from then on.
+    """
+    chord = [i for i, (kind, _) in enumerate(points) if kind.name not in _QN_KINDS]
+    qn = [i for i, (kind, _) in enumerate(points) if kind.name in _QN_KINDS]
+
+    def objective(Ps):
+        thetas = [P[:, 0] for P in Ps]
+        out = [np.full(len(th), np.nan) for th in thetas]
+        live = [i for i in chord if i not in failed]
+        for i, scan in zip(live, chords([(points[i][1], thetas[i]) for i in live])):
+            if isinstance(scan, InfeasibleError):
+                failed[i] = scan
+            else:
+                out[i] = _chord_values(norm, points[i][0], scan, dual)
+        if qn:
+            for i, v in zip(qn, _values_qn(norm, [points[i] for i in qn], [thetas[i] for i in qn], cone_samples)):
+                out[i] = v
+        return out
+
+    return objective
+
+
+def _objective_2d(norm: Norm, kind: ModulusKind, eps: float):
+    """The two-angle objective of rho or milman on (theta_x, theta_y) rows."""
+    if kind.name == "rho":
+
+        def obj(P):
+            X = norm.sphere_point(P[:, 0])
+            Y = eps * norm.sphere_point(P[:, 1])
+            return 0.5 * (np.asarray(norm(X + Y)) + np.asarray(norm(X - Y))) - 1.0
+
+        return obj
+    inner = np.maximum if kind.name == "milman-minus" else np.minimum
+
+    def obj(P):
+        X = norm.sphere_point(P[:, 0])
+        Y = norm.sphere_point(P[:, 1])
+        return inner(np.asarray(norm(X + eps * Y)), np.asarray(norm(X - eps * Y))) - 1.0
+
+    return obj
 
 
 # -- witnesses -----------------------------------------------------------------
@@ -618,29 +748,141 @@ def modulus(
     grid_n is the coarse angular resolution for single-angle kinds; the
     two-angle kinds (rho, milman) scan a grid_n_2d x grid_n_2d product grid.
     chord_scans lets the chord kinds of one run share their coarse chord
-    bisection (see ChordScans); without it each call bisects its own.
+    bisection (see ChordScans); without it each call bisects its own. This is
+    modulus_batch for a single point, raising the error it would return.
     """
-    eps = float(eps)
-    lo, hi = kind_domain(kind)
-    if not (lo <= eps <= hi) or not math.isfinite(eps):
-        raise DomainError(f"eps={eps} outside [{lo}, {hi}] for kind {kind.token()}")
-    if eps == 0.0:
-        return CurveSample(
-            eps=0.0,
-            value=_convention_at_zero(kind),
-            grid_n=int(grid_n),
-            refine_tol=0.0,
-            witness={"degenerate": True, "value": _convention_at_zero(kind)},
-        )
+    (out,) = _solve(norm, [(kind, eps)], grid_n, refine_rounds, cone_samples, grid_n_2d, chord_scans)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
-    name = kind.name
-    mode = "sup" if kind.is_sup() else "inf"
+
+def modulus_batch(
+    norm: Norm,
+    points,
+    *,
+    grid_n: int = 1024,
+    refine_rounds: int = 6,
+    cone_samples: int = 17,
+    grid_n_2d: int = 256,
+    chord_scans: ChordScans | None = None,
+) -> list:
+    """Many points (kind, eps) of one norm, solved together.
+
+    The single-angle points run as one lockstep extremize_batch, so each
+    engine step makes one objective call for all of them: one chord bisection
+    for every chord kind (with the coarse scans shared through chord_scans, as
+    in modulus) and one quasi-normal pass for the lambda and zeta kinds. The
+    rho and milman points are searched one at a time (see _solve_two_angle).
+    Witnesses are built per point, as in modulus. Each entry of the result is
+    the CurveSample that modulus returns for that point (equal with ==,
+    witness included) or the DomainError or InfeasibleError that it raises.
+    """
+    if len(points) == 1:
+        # a lone point is a modulus() call, so that per-point profiling (such
+        # as the perfbench tracer, which wraps modulus) still sees it
+        settings = dict(grid_n=grid_n, refine_rounds=refine_rounds, cone_samples=cone_samples, grid_n_2d=grid_n_2d)
+        try:
+            return [modulus(norm, *points[0], **settings, chord_scans=chord_scans)]
+        except (DomainError, InfeasibleError) as exc:
+            return [exc]
+    return _solve(norm, points, grid_n, refine_rounds, cone_samples, grid_n_2d, chord_scans)
+
+
+def _extremize_all(objective, problems: list[Problem], **shared) -> list:
+    """extremize_batch, except that a lone problem goes through extremize,
+    the per-search entry point that profilers wrap."""
+    if len(problems) == 1:
+        (p,) = problems
+        return [extremize(lambda P: objective([P])[0], p.bounds, p.mode, extra_points=p.extra_points, **shared)]
+    return extremize_batch(objective, problems, **shared)
+
+
+def _mode(kind: ModulusKind) -> str:
+    return "sup" if kind.is_sup() else "inf"
+
+
+def _solve(norm: Norm, points, grid_n, refine_rounds, cone_samples, grid_n_2d, chord_scans) -> list:
+    """modulus_batch without the lone-point routing: domain errors and eps = 0
+    conventions first, then the single-angle batch and the two-angle points."""
+    out: list = []
+    one_angle, two_angle = [], []
+    for kind, eps in points:
+        eps = float(eps)
+        lo, hi = kind_domain(kind)
+        if not (lo <= eps <= hi) or not math.isfinite(eps):
+            out.append(DomainError(f"eps={eps} outside [{lo}, {hi}] for kind {kind.token()}"))
+        elif eps == 0.0:
+            value = _convention_at_zero(kind)
+            out.append(CurveSample(0.0, value, int(grid_n), 0.0, {"degenerate": True, "value": value}))
+        else:
+            (two_angle if kind.name in _TWO_ANGLE_KINDS else one_angle).append(len(out))
+            out.append((kind, eps))
+    if one_angle:
+        scans = ChordScans() if chord_scans is None else chord_scans
+        solved = _solve_one_angle(norm, [out[i] for i in one_angle], grid_n, refine_rounds, cone_samples, scans)
+        for i, sample in zip(one_angle, solved):
+            out[i] = sample
+    if two_angle:
+        for i, sample in zip(two_angle, _solve_two_angle(norm, [out[i] for i in two_angle], grid_n_2d, refine_rounds)):
+            out[i] = sample
+    return out
+
+
+def _solve_one_angle(norm: Norm, points, grid_n, refine_rounds, cone_samples, scans: ChordScans) -> list:
+    """The single-angle points as one lockstep batch (see modulus_batch)."""
     two_pi = 2.0 * math.pi
+    base = np.mod(norm.special_angles(), two_pi)
+    chord_eps = [eps for kind, eps in points if kind.name not in _QN_KINDS]
+    partners = dict(zip(chord_eps, scans.partner_angles(norm, chord_eps)))
+    failed: dict = {}
+    problems = []
+    for j, (kind, eps) in enumerate(points):
+        # polygon vertices, and for the chord kinds the angles whose chord
+        # partner is a vertex, are injected into the coarse scan
+        extra = base
+        if kind.name not in _QN_KINDS:
+            if isinstance(partners[eps], InfeasibleError):
+                failed[j] = partners[eps]
+            else:
+                extra = np.concatenate([base, partners[eps]])
+        problems.append(Problem([(0.0, two_pi)], _mode(kind), extra[:, None] if extra.size else None))
+    dual = norm.dual() if any(kind.name.startswith("d-") for kind, _ in points) else None
+    objective = _objective_1d(norm, points, dual, cone_samples, lambda r: scans.chords(norm, grid_n, r), failed)
+    results = _extremize_all(objective, problems, grid_n=grid_n, refine_rounds=refine_rounds)
+    out = []
+    for j, ((kind, eps), res) in enumerate(zip(points, results)):
+        if j in failed:
+            out.append(failed[j])
+            continue
+        try:
+            witness = _describe_theta(norm, kind, eps, float(res.point[0]), dual, cone_samples)
+        except InfeasibleError as exc:
+            out.append(exc)
+            continue
+        out.append(CurveSample(eps, float(res.value), int(grid_n), max(float(res.tol), 1e-12), witness))
+    return out
 
-    if name in ("rho", "milman-minus", "milman-plus"):
-        res = _extremize_2d(norm, _objective_2d(norm, kind, eps), mode, grid_n_2d, refine_rounds)
+
+def _solve_two_angle(norm: Norm, points, grid_n_2d, refine_rounds) -> list:
+    """rho and milman points, each searched on its own. Their coarse scans
+    are already thousands of rows, and a lockstep batch, which holds the
+    coarse grids of all its searches at once, raised the peak memory without
+    a measurable speed-up."""
+    two_pi = 2.0 * math.pi
+    sp = np.mod(norm.special_angles(), two_pi)
+    extras = None
+    if sp.size:
+        A, B = np.meshgrid(sp, sp, indexing="ij")
+        extras = np.stack([A.ravel(), B.ravel()], axis=-1)
+    box = [(0.0, two_pi), (0.0, two_pi)]
+    out = []
+    for kind, eps in points:
+        res = extremize(
+            _objective_2d(norm, kind, eps), box, _mode(kind), grid_n=grid_n_2d, refine_rounds=refine_rounds, extra_points=extras
+        )
         x = norm.sphere_point(res.point[0])
-        y = (eps if name == "rho" else 1.0) * np.asarray(norm.sphere_point(res.point[1]))
+        y = (eps if kind.name == "rho" else 1.0) * np.asarray(norm.sphere_point(res.point[1]))
         witness = {
             "theta_x": float(res.point[0]),
             "theta_y": float(res.point[1]),
@@ -648,53 +890,8 @@ def modulus(
             "y": _vec(y),
             "value": float(res.value),
         }
-        return CurveSample(eps, float(res.value), int(grid_n_2d), max(float(res.tol), 1e-12), witness)
-
-    dual = norm.dual() if name.startswith("d-") else None
-    chord_partners = name not in ("lambda-minus", "lambda-plus", "zeta-minus", "zeta-plus")
-    extras = _special_theta_extras(norm, eps, chord_partners)
-    scans = ChordScans() if chord_scans is None else chord_scans
-    batch = _values_for(norm, kind, eps, dual, cone_samples, scans.chord_points(norm, eps, grid_n))
-    res = extremize(
-        lambda P: batch(P[:, 0]),
-        [(0.0, two_pi)],
-        mode=mode,
-        grid_n=grid_n,
-        refine_rounds=refine_rounds,
-        extra_points=extras or None,
-    )
-    witness = _describe_theta(norm, kind, eps, float(res.point[0]), dual, cone_samples)
-    return CurveSample(eps, float(res.value), int(grid_n), max(float(res.tol), 1e-12), witness)
-
-
-def _objective_2d(norm: Norm, kind: ModulusKind, eps: float):
-    """The two-angle objective of rho or milman on (theta_x, theta_y) rows."""
-    if kind.name == "rho":
-
-        def obj(P):
-            X = norm.sphere_point(P[:, 0])
-            Y = eps * norm.sphere_point(P[:, 1])
-            return 0.5 * (np.asarray(norm(X + Y)) + np.asarray(norm(X - Y))) - 1.0
-
-        return obj
-    inner = np.maximum if kind.name == "milman-minus" else np.minimum
-
-    def obj(P):
-        X = norm.sphere_point(P[:, 0])
-        Y = norm.sphere_point(P[:, 1])
-        return inner(np.asarray(norm(X + eps * Y)), np.asarray(norm(X - eps * Y))) - 1.0
-
-    return obj
-
-
-def _extremize_2d(norm: Norm, obj, mode: str, grid_n_2d: int, refine_rounds: int):
-    sp = np.mod(norm.special_angles(), 2.0 * math.pi)
-    extras = None
-    if sp.size:
-        A, B = np.meshgrid(sp, sp, indexing="ij")
-        extras = np.stack([A.ravel(), B.ravel()], axis=-1)
-    box = [(0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)]
-    return extremize(obj, box, mode=mode, grid_n=grid_n_2d, refine_rounds=refine_rounds, extra_points=extras)
+        out.append(CurveSample(eps, float(res.value), int(grid_n_2d), max(float(res.tol), 1e-12), witness))
+    return out
 
 
 def modulus_curve(
@@ -707,17 +904,20 @@ def modulus_curve(
     cone_samples: int = 17,
     grid_n_2d: int = 256,
 ) -> ModulusCurve:
-    """Modulus samples over a strictly increasing in-domain eps grid."""
+    """Modulus samples over a strictly increasing in-domain eps grid, solved
+    as one modulus_batch."""
     grid = [float(e) for e in eps_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("eps grid must be strictly increasing")
     lo, hi = kind_domain(kind)
     if grid and (grid[0] < lo or grid[-1] > hi):
         raise DomainError(f"eps grid outside [{lo}, {hi}] for kind {kind.token()}")
-    samples = [
-        modulus(norm, kind, e, grid_n=grid_n, refine_rounds=refine_rounds, cone_samples=cone_samples, grid_n_2d=grid_n_2d)
-        for e in grid
-    ]
+    samples = modulus_batch(
+        norm, [(kind, e) for e in grid], grid_n=grid_n, refine_rounds=refine_rounds, cone_samples=cone_samples, grid_n_2d=grid_n_2d
+    )
+    for s in samples:
+        if isinstance(s, Exception):
+            raise s
     return ModulusCurve(kind=kind, norm=norm, samples=samples)
 
 

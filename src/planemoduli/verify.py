@@ -35,7 +35,8 @@ from .moduli import (
     delta_t,
     hilbert_reference,
     kind_domain,
-    modulus,
+    modulus,  # noqa: F401 -- unused here, but the perfbench tracer wraps verify.modulus
+    modulus_batch,
     reevaluate_witness,
 )
 from .norms import (
@@ -104,9 +105,14 @@ class ModulusCache:
     """Memoizes modulus samples keyed by (norm, kind, eps) at fixed settings.
 
     The sandwich checks evaluate the same curves at shared grid points many
-    times over; caching keeps the default suite inside its time budget. The
-    cache also holds the coarse chord scans of its run (ChordScans), so the
-    chord kinds at one (norm, eps) bisect the coarse grid once between them.
+    times over; caching keeps the default suite inside its time budget. A
+    check hands all its points for one norm to sample_many, which solves the
+    misses as one lockstep modulus_batch: one chord bisection per engine step
+    for every chord kind and eps, and one quasi-normal pass for the lambda and
+    zeta kinds. The cache also holds the coarse chord scans of its run
+    (ChordScans), so the chord kinds at one (norm, eps) bisect the coarse grid
+    once between them, across batches too. A point that raises DomainError or
+    InfeasibleError is remembered with its error, which sample raises again.
     One cache serves one run and is dropped with it.
     """
 
@@ -115,12 +121,25 @@ class ModulusCache:
         self._data: dict = {}
         self.chord_scans = ChordScans()
 
+    def sample_many(self, norm: Norm, pairs) -> list:
+        """The sample (or the remembered error) for each (kind, eps) pair,
+        filling all misses with one modulus_batch. Keys round eps to 12
+        digits; the first pair of a key gives the eps that is solved."""
+        nkey = norm_key(norm)
+        keys = [(nkey, kind.token(), round(float(eps), 12)) for kind, eps in pairs]
+        misses = {}
+        for key, pair in zip(keys, pairs):
+            if key not in self._data:
+                misses.setdefault(key, pair)
+        if misses:
+            solved = modulus_batch(norm, list(misses.values()), **self.settings.modulus_kwargs(), chord_scans=self.chord_scans)
+            self._data.update(zip(misses, solved))
+        return [self._data[key] for key in keys]
+
     def sample(self, norm: Norm, kind: ModulusKind, eps: float) -> CurveSample:
-        key = (norm_key(norm), kind.token(), round(float(eps), 12))
-        hit = self._data.get(key)
-        if hit is None:
-            hit = modulus(norm, kind, eps, **self.settings.modulus_kwargs(), chord_scans=self.chord_scans)
-            self._data[key] = hit
+        (hit,) = self.sample_many(norm, [(kind, eps)])
+        if isinstance(hit, Exception):
+            raise hit.with_traceback(None)
         return hit
 
 
@@ -195,6 +214,8 @@ def _eval_relation(norm, relation, cache):
 
 
 def _eval_relations(norm, label, labelled_relations, cache):
+    labelled_relations = list(labelled_relations)
+    cache.sample_many(norm, [(t.kind, t.eps) for _, rel in labelled_relations for t in rel.terms])
     points, skips = [], []
     for eps, relation in labelled_relations:
         try:
@@ -798,8 +819,10 @@ def gamma_monotonicity_check(norm: Norm, eps_grid: Sequence[float], *, settings:
     if len(grid) < 2:
         return math.inf
     cache = ModulusCache(settings or SuiteSettings())
+    kinds = (_GAM_M, _GAM_P)
+    cache.sample_many(norm, [(kind, e) for kind in kinds for e in grid])
     worst = math.inf
-    for kind in (_GAM_M, _GAM_P):
+    for kind in kinds:
         values = [cache.sample(norm, kind, e).value for e in grid]
         worst = min(worst, min(b - a for a, b in zip(values, values[1:])))
     return float(worst)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from planemoduli import InputError
-from planemoduli.engine import extremize
+from planemoduli.engine import Problem, extremize, extremize_batch
 
 
 def test_constant_objective_zero_tol():
@@ -168,3 +168,50 @@ def test_refine_batches_cells_and_matches_per_cell_loop(case):
     assert bits(res.point) == bits(ref_pt)
     assert bits(res.tol) == bits(ref_tol)
     assert res.n_evals == ref_evals == sum(calls)
+
+
+def _batch_groups():
+    """BATCH_CASES grouped by their shared settings (grid_n, rounds, keep),
+    each case also run in the opposite mode, so that every group mixes modes
+    and some mix dimensions and extra_points."""
+    groups = {}
+    for name, (f, bounds, mode, grid_n, rounds, keep, extra) in BATCH_CASES.items():
+        for m in (mode, "sup" if mode == "inf" else "inf"):
+            groups.setdefault((grid_n, rounds, keep), []).append((f, Problem(bounds, m, extra)))
+    return groups
+
+
+@pytest.mark.parametrize("settings", list(_batch_groups()), ids=lambda s: "grid{}-rounds{}-keep{}".format(*s))
+def test_extremize_batch_matches_extremize_per_problem(settings):
+    grid_n, rounds, keep = settings
+    cases = _batch_groups()[settings]
+    calls = []
+
+    def objective(Ps):
+        calls.append([len(P) for P in Ps])
+        return [f(P) for (f, _), P in zip(cases, Ps)]
+
+    got = extremize_batch(objective, [p for _, p in cases], grid_n=grid_n, refine_rounds=rounds, keep_cells=keep)
+    assert len(calls) == 1 + rounds and all(len(c) == len(cases) for c in calls)
+    bits = lambda x: np.asarray(x, dtype=float).tobytes()  # noqa: E731
+    for (f, p), res in zip(cases, got):
+        want = extremize(f, p.bounds, p.mode, grid_n=grid_n, refine_rounds=rounds, keep_cells=keep, extra_points=p.extra_points)
+        assert (bits(res.value), bits(res.point), bits(res.tol), res.n_evals) == (
+            bits(want.value),
+            bits(want.point),
+            bits(want.tol),
+            want.n_evals,
+        )
+
+
+def test_extremize_batch_validation():
+    objective = lambda Ps: [P[:, 0] for P in Ps]  # noqa: E731
+    assert extremize_batch(objective, []) == []
+    with pytest.raises(InputError):
+        extremize_batch(objective, [Problem([(0.0, 1.0)]), Problem([(0.0, 1.0)], "max")])
+    with pytest.raises(InputError):
+        extremize_batch(objective, [Problem([(0.0, 1.0)])], grid_n=32)
+    with pytest.raises(InputError):
+        extremize_batch(lambda Ps: [P[:, 0] for P in Ps[:1]], [Problem([(0.0, 1.0)]), Problem([(0.0, 2.0)])], grid_n=64)
+    with pytest.raises(InputError):
+        extremize_batch(lambda Ps: [P[:3, 0] for P in Ps], [Problem([(0.0, 1.0)])], grid_n=64)

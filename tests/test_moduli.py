@@ -29,7 +29,8 @@ from planemoduli import (
     rows_to_csv,
 )
 from planemoduli import moduli
-from planemoduli.moduli import KIND_NAMES, ChordScans, _chord_points, _objective_2d, _special_theta_extras, _values_for
+from planemoduli import modulus_batch
+from planemoduli.moduli import KIND_NAMES, ChordScans, _chord_points, _objective_1d, _objective_2d
 from planemoduli.verify import ModulusCache, SuiteSettings, _sample_polygon
 
 EUCLID = euclidean_norm()
@@ -259,11 +260,15 @@ def test_plus_minus_ordering_spot_checks():
 
 
 # -- row independence of the objectives -------------------------------------------
-# extremize refines all kept cells in one objective call, which gives the same
-# values as one call per cell only if every row is computed on its own
+# extremize refines all kept cells in one objective call, and extremize_batch
+# hands the rows of several points to one objective call; both give the same
+# values as one call per cell and per point only if every row is computed on
+# its own (for batches of two or more rows)
 
 
 ROW_NORMS = (LP3, HEXAGON, _sample_polygon(np.random.default_rng(20160906)))
+ALL_TOKENS = [*(k for k in KIND_NAMES if k not in ("delta-t", "beta-t")), "delta-t:0.3", "beta-t:0.7"]
+TWO_ANGLE = ("rho", "milman-minus", "milman-plus")
 
 
 def _angle_halves(norm, d):
@@ -280,26 +285,99 @@ def _angle_halves(norm, d):
     return stencil, mixed
 
 
-@pytest.mark.parametrize("token", [*(k for k in KIND_NAMES if k not in ("delta-t", "beta-t")), "delta-t:0.3", "beta-t:0.7"])
+def _objective_1(norm, points):
+    """The lockstep objective that modulus_batch builds for single-angle
+    points, with a fresh chord store on every call."""
+    return _objective_1d(norm, points, norm.dual(), 9, lambda requests: ChordScans().chords(norm, 64, requests), {})
+
+
+@pytest.mark.parametrize("token", ALL_TOKENS)
 def test_objectives_are_row_independent(token):
     kind = K(token)
-    two_angle = kind.name in ("rho", "milman-minus", "milman-plus")
+    two_angle = kind.name in TWO_ANGLE
     for norm in ROW_NORMS:
-        if two_angle:
-            values = _objective_2d(norm, kind, 0.6)
-        else:
-            dual = norm.dual() if kind.name.startswith("d-") else None
-            single = _values_for(norm, kind, 0.6, dual, 9, lambda th: _chord_points(norm, th, 0.6))
-            values = lambda P: single(P[:, 0])
         A, B = _angle_halves(norm, 2 if two_angle else 1)
-        whole = values(np.concatenate([A, B]))
-        assert np.array_equal(whole, np.concatenate([values(A), values(B)])), norm
+        if two_angle:
+            solo = lambda P, point=(kind, 0.6): _objective_2d(norm, *point)(P)  # noqa: E731
+        else:
+            solo = lambda P, point=(kind, 0.6): _objective_1(norm, [point])([P])[0]  # noqa: E731
+        assert np.array_equal(solo(np.concatenate([A, B])), np.concatenate([solo(A), solo(B)])), norm
+        if two_angle:
+            continue  # rho and milman points are searched one at a time
+        # a multi-point batch, split into its per-point slices as the lockstep
+        # engine splits it: each point gets the values it gets alone
+        points = [(kind, 0.6), (kind, 0.3), *((K(t), 0.45) for t in ("delta", "zeta-plus", "d-minus", "lambda-minus"))]
+        arrays = [A, B, np.concatenate([B, A]), B, A, A]
+        together = _objective_1(norm, points)(arrays)
+        for point, P, values in zip(points, arrays, together):
+            assert np.array_equal(values, solo(P, point)), (norm, point)
+
+
+# -- points of one norm solved as one batch ----------------------------------------
+
+BATCH_SETTINGS = dict(grid_n=96, refine_rounds=3, cone_samples=9, grid_n_2d=64)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return got == want
+
+
+@pytest.mark.parametrize("norm", ROW_NORMS, ids=("lp3", "hexagon", "random-polygon"))
+def test_modulus_batch_equals_solo_modulus(norm):
+    points = [(K(t), eps) for eps in (0.3, 1.6) for t in ALL_TOKENS]
+    solo = []
+    for kind, eps in points:
+        try:
+            solo.append(modulus(norm, kind, eps, **BATCH_SETTINGS))
+        except DomainError as exc:  # lambda kinds end at eps = 1
+            solo.append(exc)
+    assert sum(isinstance(s, DomainError) for s in solo) == 2
+    for order in (list(range(len(points))), [*range(1, len(points), 2), *range(0, len(points), 2)][::-1]):
+        batch = modulus_batch(norm, [points[i] for i in order], **BATCH_SETTINGS)
+        for i, got in zip(order, batch):
+            assert _same_outcome(got, solo[i]), points[i]
+
+
+def test_modulus_batch_returns_each_points_own_error():
+    points = [(K("delta"), 0.5), (K("delta"), 2.5), (K("lambda-plus"), 1.2), (K("rho"), 0.5), (K("zeta-minus"), float("nan"))]
+    batch = modulus_batch(HEXAGON, points, **BATCH_SETTINGS)
+    for (kind, eps), got in zip(points, batch):
+        try:
+            want = modulus(HEXAGON, kind, eps, **BATCH_SETTINGS)
+        except DomainError as exc:
+            want = exc
+        assert _same_outcome(got, want), (kind, eps)
+    assert [type(b).__name__ for b in batch] == ["CurveSample", "DomainError", "DomainError", "CurveSample", "DomainError"]
+    assert modulus_batch(HEXAGON, [], **BATCH_SETTINGS) == []
+
+
+def test_modulus_curve_is_one_batch(monkeypatch):
+    calls = []
+    real = moduli._solve
+
+    def counted(norm, points, *args):
+        calls.append(len(points))
+        return real(norm, points, *args)
+
+    monkeypatch.setattr(moduli, "_solve", counted)
+    curve = modulus_curve(LP3, K("gamma-plus"), [0.3, 0.6, 0.9], **BATCH_SETTINGS)
+    assert calls == [3]
+    calls.clear()
+    want = [modulus(LP3, K("gamma-plus"), e, **BATCH_SETTINGS) for e in (0.3, 0.6, 0.9)]
+    assert curve.samples == want and calls == [1, 1, 1]
 
 
 # -- coarse chord scans shared across the chord kinds of one run -----------------
 
 CHORD_TOKENS = ("delta", "banas", "delta-t:0.3", "beta-t:0.7", "phi-minus", "phi-plus", "gamma-minus", "gamma-plus", "d-minus", "d-plus")
 SCAN_SETTINGS = SuiteSettings(grid_n=96, refine_rounds=3, cone_samples=9, grid_n_2d=64)
+
+
+def _coarse_rows(norm):
+    # the grid, the vertex angles and the two chord-partner angles per vertex
+    return SCAN_SETTINGS.grid_n + 3 * len(norm.special_angles())
 
 
 @pytest.mark.parametrize("norm", ROW_NORMS, ids=("lp3", "hexagon", "random-polygon"))
@@ -323,41 +401,74 @@ def test_chord_kinds_bisect_the_coarse_grid_once(norm, monkeypatch):
         return bisect(norm, thetas, *args)
 
     monkeypatch.setattr(moduli, "_chord_offsets_rows", counted)
-    coarse_rows = len(moduli._CHORD_BRANCHES) * (SCAN_SETTINGS.grid_n + len(_special_theta_extras(norm, eps, True)))
-    cache = ModulusCache(SCAN_SETTINGS)
-    for token in CHORD_TOKENS:
-        cache.sample(norm, K(token), eps)
-    assert rows.count(coarse_rows) == 1
+    coarse_rows = len(moduli._CHORD_BRANCHES) * _coarse_rows(norm)
+    partner_rows = 2 * len(norm.special_angles())
+    # one kind at a time, and all ten kinds as one batch
+    for fill in (
+        lambda cache: [cache.sample(norm, K(token), eps) for token in CHORD_TOKENS],
+        lambda cache: cache.sample_many(norm, [(K(token), eps) for token in CHORD_TOKENS]),
+    ):
+        rows.clear()
+        fill(ModulusCache(SCAN_SETTINGS))
+        assert rows.count(coarse_rows) == 1
+        # the vertex chord-partner angles are bisected once too
+        assert rows.count(partner_rows) == (1 if partner_rows else 0)
     rows.clear()
     for token in CHORD_TOKENS:
         modulus(norm, K(token), eps, **SCAN_SETTINGS.modulus_kwargs())
     assert rows.count(coarse_rows) == len(CHORD_TOKENS)
 
 
+@pytest.mark.parametrize("norm", ROW_NORMS, ids=("lp3", "hexagon", "random-polygon"))
+def test_kept_scans_compute_their_supports_once(norm, monkeypatch):
+    eps = 0.9
+    rows = []
+    cls = type(norm)
+    support = cls._support_batch
+
+    def counted(self, X):
+        rows.append(len(X))
+        return support(self, X)
+
+    monkeypatch.setattr(cls, "_support_batch", counted)
+    cache = ModulusCache(SCAN_SETTINGS)
+    for token in CHORD_TOKENS:
+        cache.sample(norm, K(token), eps)
+    # X and the four partner arrays, once each, across the ten kinds
+    assert rows.count(_coarse_rows(norm)) == 1 + len(moduli._CHORD_BRANCHES)
+
+
 def test_chord_scans_are_read_only_and_keyed_on_exact_eps():
     scans = ChordScans()
     thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    points = scans.chord_points(HEXAGON, 0.7, 64)
-    X, Zs = points(thetas)
-    again = points(thetas.copy())
-    assert again[0] is X and all(a is b for a, b in zip(again[1], Zs))
-    for arr in (X, *Zs):
+    (scan,) = scans.chords(HEXAGON, 64, [(0.7, thetas)])
+    (again,) = scans.chords(HEXAGON, 64, [(0.7, thetas.copy())])
+    assert again is scan
+    supports = [*scan.x_support(), *(a for pair in scan.z_supports() for a in pair)]
+    assert scan.x_support() is scan.x_support() and scan.z_supports() is scan.z_supports()
+    for arr in (scan.thetas, scan.X, *scan.Zs, *supports):
         with pytest.raises(ValueError):
-            arr[0, 0] = 0.0
+            arr[(0,) * arr.ndim] = 0.0
     # a different theta array is bisected afresh and not kept
-    other = points(thetas[:10])
-    assert other[0] is not X and len(scans) == 1
+    (other,) = scans.chords(HEXAGON, 64, [(0.7, thetas[:10])])
+    assert other is not scan and other.X.flags.writeable and len(scans) == 1
     # eps equal to 12 digits but not exactly is a different scan
-    scans.chord_points(HEXAGON, 0.7 + 1e-13, 64)(thetas)
+    scans.chords(HEXAGON, 64, [(0.7 + 1e-13, thetas)])
     assert len(scans) == 2
+    # identical requests in one call share one scan
+    a, b = scans.chords(HEXAGON, 64, [(0.5, thetas), (0.5, thetas.copy())])
+    assert a is b and len(scans) == 3
 
 
 def test_infeasible_chord_scan_is_not_kept():
     scans = ChordScans()
     thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    with pytest.raises(InfeasibleError):
-        scans.chord_points(HEXAGON, 2.5, 64)(thetas)
-    assert len(scans) == 0
+    with pytest.raises(InfeasibleError) as alone:
+        _chord_points(HEXAGON, thetas, 2.5)
+    ok, err = scans.chords(HEXAGON, 64, [(0.7, thetas), (2.5, thetas)])
+    assert isinstance(err, InfeasibleError) and str(err) == str(alone.value)
+    assert np.array_equal(ok.X, _chord_points(HEXAGON, thetas, 0.7)[0])
+    assert len(scans) == 1
 
 
 # -- witnesses --------------------------------------------------------------------

@@ -8,7 +8,9 @@ import pytest
 from planemoduli import (
     CheckDef,
     CheckSpec,
+    DomainError,
     InputError,
+    ModulusCache,
     ModulusKind,
     Relation,
     SuiteSettings,
@@ -30,7 +32,8 @@ from planemoduli import (
     run_suite,
     standard_norms,
 )
-from planemoduli.verify import _pointwise
+from planemoduli import verify
+from planemoduli.verify import _eval_relations, _pointwise
 
 EUCLID = euclidean_norm()
 SQUARE = lp_norm("inf")
@@ -269,3 +272,44 @@ def test_square_milman_matches_hypotenuse_at_half():
     zeta = modulus(SQUARE, ModulusKind("zeta-minus"), 0.5, grid_n=96, refine_rounds=3, cone_samples=9)
     assert beta.value == pytest.approx(0.0, abs=1e-6)
     assert zeta.value - 1.0 == pytest.approx(beta.value, abs=1e-6)
+
+
+# -- the sample cache -----------------------------------------------------------
+
+
+def test_sample_many_fills_misses_in_one_batch_and_remembers_errors(monkeypatch):
+    batches = []
+    real = verify.modulus_batch
+
+    def counted(norm, points, **kwargs):
+        batches.append(len(points))
+        return real(norm, points, **kwargs)
+
+    monkeypatch.setattr(verify, "modulus_batch", counted)
+    cache = ModulusCache(LIGHT)
+    delta, rho = ModulusKind("delta"), ModulusKind("rho")
+    pairs = [(delta, 0.3), (delta, 0.3 + 1e-14), (delta, 2.5), (rho, 0.3)]
+    first, second, err, r = cache.sample_many(SQUARE, pairs)
+    assert batches == [3]  # the rounded duplicate is one key
+    assert first is second and first.eps == 0.3  # the first pair of a key is solved
+    assert isinstance(err, DomainError) and str(err) == "eps=2.5 outside [0.0, 2.0] for kind delta"
+    assert first == modulus(SQUARE, delta, 0.3, **LIGHT.modulus_kwargs())
+    assert r == modulus(SQUARE, rho, 0.3, **LIGHT.modulus_kwargs())
+    # later lookups are hits, and the remembered error is raised again
+    assert cache.sample(SQUARE, delta, 0.3) is first
+    for _ in range(2):
+        with pytest.raises(DomainError) as raised:
+            cache.sample(SQUARE, delta, 2.5)
+        assert raised.value is err
+    assert batches == [3]
+
+
+def test_relations_prefetch_keeps_skip_reasons():
+    delta = ModulusKind("delta")
+    labelled = [
+        (0.5, Relation("ok", 0.0, (Term(1.0, delta, 0.5),))),
+        (1.5, Relation("out", 0.0, (Term(1.0, delta, 1.5), Term(-1.0, delta, 3.0)))),
+    ]
+    points, skips = _eval_relations(SQUARE, "lp:inf", labelled, ModulusCache(LIGHT))
+    assert [p.relation.name for p in points] == ["ok"]
+    assert skips == [{"norm": "lp:inf", "eps": 1.5, "reason": "eps=3.0 outside [0.0, 2.0] for kind delta"}]
