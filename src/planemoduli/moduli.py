@@ -22,6 +22,18 @@ chord partner is a vertex) injected into the coarse scan so non-smooth
 extremal configurations are hit exactly. ``modulus_batch`` solves the
 single-angle points of one norm in lockstep, one objective call per engine
 step for all of them, with the same results as one ``modulus`` call per point.
+
+A single-angle kind is an extreme over concrete configurations at the angle
+of x: a chord x, z on one of four branches (arc side, near or far end of the
+level set), with supporting functionals p in J(x) or p1 in J(x1), p2 in J(x2);
+or a quasi-normal pair (x, y). The kind's configuration table (_chord_table,
+_qn_table) lists them once, each as a value array over the angles of a scan
+plus its named fields (x, z, p, x1, x2, p1, p2, side, edge, s, t_seg, y,
+y_sign). The objective reduces the values with max or min, the witness is the
+first extremal configuration of the table on the one-row scan at the winning
+angle, and reevaluate_witness applies the same value expression
+(_config_value) to the stored fields, as the rho and milman objective does to
+its sphere points.
 """
 
 from __future__ import annotations
@@ -381,56 +393,77 @@ class ChordScans:
         return [found[e] if e in found else self._partners[(nkey, e)] for e in eps_values]
 
 
-# -- family evaluators ---------------------------------------------------------
+# -- configuration tables ------------------------------------------------------
+#
+# A table is a list of (values, fields) pairs, one per configuration (see the
+# module docstring); a field is an array with a row per scan row, or a
+# constant. Table order is the witness order: the first extremal one wins.
 
 _MIDPOINT_KINDS = frozenset({"delta", "banas", "delta-t", "beta-t"})
 _QN_KINDS = frozenset({"lambda-minus", "lambda-plus", "zeta-minus", "zeta-plus"})
 _TWO_ANGLE_KINDS = frozenset({"rho", "milman-minus", "milman-plus"})
+# the lambda and zeta values do not depend on the sign of the kind
+_LAMBDA, _ZETA = ModulusKind("lambda-minus"), ModulusKind("zeta-minus")
 
 
-def _reduce(kind: ModulusKind, stack: np.ndarray) -> np.ndarray:
-    """Collapse inner configuration axes (axis 0) by the kind's extremum."""
-    return np.max(stack, axis=0) if kind.is_sup() else np.min(stack, axis=0)
+def _config_value(norm: Norm, kind: ModulusKind, eps, f: dict, dual: Norm | None) -> np.ndarray:
+    """The kind's value of configurations from their fields, one per row; eps
+    is a scalar or one value per row."""
+    name = kind.name
+    if name in _MIDPOINT_KINDS:
+        t = 0.5 if name in ("delta", "banas") else kind.t
+        return 1.0 - np.asarray(norm(t * f["x"] + (1.0 - t) * f["z"]))
+    if name.startswith("phi"):
+        return np.sum(f["p"] * (f["x"] - f["z"]), axis=-1)
+    if name.startswith("gamma"):
+        return np.sum((f["p1"] - f["p2"]) * (f["x1"] - f["x2"]), axis=-1)
+    if name.startswith("d-"):
+        return np.asarray(dual(f["p1"] - f["p2"]))
+    if name.startswith("lambda"):
+        return lambda_point_batch(norm, f["x"], f["y"], eps, tol=_ENGINE_LAMBDA_TOL)
+    if name.startswith("zeta"):
+        return np.asarray(norm(f["x"] + np.asarray(eps)[..., None] * f["y"]))
+    X, Y = f["x"], f["y"]  # for rho, y is already scaled by eps
+    if name == "rho":
+        return 0.5 * (np.asarray(norm(X + Y)) + np.asarray(norm(X - Y))) - 1.0
+    inner = np.maximum if name == "milman-minus" else np.minimum
+    return inner(np.asarray(norm(X + eps * Y)), np.asarray(norm(X - eps * Y))) - 1.0
 
 
-def _midweight(kind: ModulusKind) -> float:
-    return 0.5 if kind.name in ("delta", "banas") else float(kind.t)
+def _chord_table(norm: Norm, kind: ModulusKind, scan: _ChordScan, dual: Norm | None) -> list[tuple[np.ndarray, dict]]:
+    """The configurations of a chord kind on a chord scan, in witness order:
+    per chord branch, then per functional p (or p1) of x, then p2 of z."""
+    name = kind.name
+    X = scan.X
+    z_supports = scan.z_supports() if name.startswith(("gamma", "d-")) else [(None, None)] * len(scan.Zs)
+    table = []
+    for (side, edge), Z, (pm2, pp2) in zip(_CHORD_BRANCHES, scan.Zs, z_supports):
+        branch = {"side": int(side), "edge": edge}
+        if name == "d-minus":
+            # ||p1 - p2||_* is convex in (s, t): the sup of d-plus sits at the
+            # segment endpoints, the inf of d-minus is searched on the segments
+            pm1, pp1 = scan.x_support()
+            v, s, t = _d_minus_over_segments(dual, pm1, pp1, pm2, pp2)
+            P1, P2 = pm1 + s[:, None] * (pp1 - pm1), pm2 + t[:, None] * (pp2 - pm2)
+            table.append((v, {"x1": X, "x2": Z, "p1": P1, "p2": P2, **branch, "s": s, "t_seg": t}))
+            continue
+        if name in _MIDPOINT_KINDS:
+            configs = [{"x": X, "z": Z}]
+        elif name.startswith("phi"):
+            configs = [{"x": X, "z": Z, "p": P} for P in scan.x_support()]
+        else:
+            configs = [{"x1": X, "x2": Z, "p1": P1, "p2": P2} for P1 in scan.x_support() for P2 in (pm2, pp2)]
+        table += [(_config_value(norm, kind, None, f, dual), {**f, **branch}) for f in configs]
+    return table
 
 
-def _values_midpoint(norm: Norm, kind: ModulusKind, scan: _ChordScan) -> np.ndarray:
-    t = _midweight(kind)
-    per_side = [1.0 - np.asarray(norm(t * scan.X + (1.0 - t) * Z)) for Z in scan.Zs]
-    return _reduce(kind, np.stack(per_side))
-
-
-def _values_phi(norm: Norm, kind: ModulusKind, scan: _ChordScan) -> np.ndarray:
-    pm, pp = scan.x_support()
-    vals = []
-    for Z in scan.Zs:
-        D = scan.X - Z
-        for P in (pm, pp):
-            vals.append(np.sum(P * D, axis=-1))
-    return _reduce(kind, np.stack(vals))
-
-
-def _values_gamma(norm: Norm, kind: ModulusKind, scan: _ChordScan) -> np.ndarray:
-    pm1, pp1 = scan.x_support()
-    vals = []
-    for Z, (pm2, pp2) in zip(scan.Zs, scan.z_supports()):
-        D = scan.X - Z
-        for P1 in (pm1, pp1):
-            for P2 in (pm2, pp2):
-                vals.append(np.sum((P1 - P2) * D, axis=-1))
-    return _reduce(kind, np.stack(vals))
-
-
-def _d_minus_over_segments(dual: Norm, pm1, pp1, pm2, pp2, with_args: bool = False):
-    """Rowwise min of ||p1(s) - p2(t)||_* over the two support segments.
+def _d_minus_over_segments(dual: Norm, pm1, pp1, pm2, pp2):
+    """Rowwise min of ||p1(s) - p2(t)||_* over the two support segments, and
+    the minimizing (s, t) per row.
 
     The map is convex in (s, t), so the minimum may sit in the interior; a
     33x33 grid plus three shrink rounds resolves it. Rows where both segments
-    are degenerate take the direct value. with_args additionally returns the
-    minimizing (s, t) per row.
+    are degenerate take the direct value at s = t = 0.
     """
     out = np.asarray(dual(pm1 - pm2), dtype=float).copy()
     s_out = np.zeros_like(out)
@@ -438,7 +471,7 @@ def _d_minus_over_segments(dual: Norm, pm1, pp1, pm2, pp2, with_args: bool = Fal
     live = (np.asarray(dual(pp1 - pm1)) > 1e-12) | (np.asarray(dual(pp2 - pm2)) > 1e-12)
     rows = np.nonzero(live)[0]
     if rows.size == 0:
-        return (out, s_out, t_out) if with_args else out
+        return out, s_out, t_out
     d1 = (pp1 - pm1)[rows]
     d2 = (pp2 - pm2)[rows]
     b1 = pm1[rows]
@@ -470,31 +503,7 @@ def _d_minus_over_segments(dual: Norm, pm1, pp1, pm2, pp2, with_args: bool = Fal
     out[rows] = np.where(take, best, out[rows])
     s_out[rows] = np.where(take, sc, 0.0)
     t_out[rows] = np.where(take, tc, 0.0)
-    return (out, s_out, t_out) if with_args else out
-
-
-def _values_d(norm: Norm, kind: ModulusKind, scan: _ChordScan, dual: Norm) -> np.ndarray:
-    pm1, pp1 = scan.x_support()
-    vals = []
-    for pm2, pp2 in scan.z_supports():
-        if kind.name == "d-plus":
-            # convex in (s, t): the sup sits at segment endpoints
-            for P1 in (pm1, pp1):
-                for P2 in (pm2, pp2):
-                    vals.append(np.asarray(dual(P1 - P2)))
-        else:
-            vals.append(_d_minus_over_segments(dual, pm1, pp1, pm2, pp2))
-    return _reduce(kind, np.stack(vals))
-
-
-def _chord_values(norm: Norm, kind: ModulusKind, scan: _ChordScan, dual: Norm | None) -> np.ndarray:
-    if kind.name in _MIDPOINT_KINDS:
-        return _values_midpoint(norm, kind, scan)
-    if kind.name.startswith("phi"):
-        return _values_phi(norm, kind, scan)
-    if kind.name.startswith("gamma"):
-        return _values_gamma(norm, kind, scan)
-    return _values_d(norm, kind, scan, dual)
+    return out, s_out, t_out
 
 
 def _qn_directions(norm: Norm, X: np.ndarray, cone_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -534,31 +543,35 @@ def _qn_directions(norm: Norm, X: np.ndarray, cone_samples: int) -> tuple[np.nda
     return np.concatenate(rows_list), np.concatenate(X_list), np.concatenate(Y_list)
 
 
-def _values_qn(norm: Norm, points, thetas, cone_samples: int) -> list[np.ndarray]:
-    """Values of the lambda and zeta points (kind, eps) on their theta arrays:
-    one sphere and quasi-normal pass for all of them, then one lambda
-    bisection and one norm evaluation, each with one eps per row."""
+def _qn_table(norm: Norm, points, thetas, cone_samples: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The quasi-normal configurations (x, y) of the lambda and zeta points
+    (kind, eps) on their theta arrays, both orientations of each direction:
+    the scan row each belongs to, their values and their fields. One sphere
+    and quasi-normal pass for all points, then one lambda bisection and one
+    norm evaluation, each with one eps per row."""
     sizes = [len(th) for th in thetas]
     per_row = lambda values: np.repeat(values, sizes)  # noqa: E731
-    X = norm.sphere_point(np.concatenate(thetas))
-    rows, Xc, Yc = _qn_directions(norm, X, cone_samples)
-    # both orientations of each quasi-normal direction, in one batch
+    rows, Xc, Yc = _qn_directions(norm, norm.sphere_point(np.concatenate(thetas)), cone_samples)
     rows2 = np.concatenate([rows, rows])
-    X2 = np.concatenate([Xc, Xc])
-    Y2 = np.concatenate([Yc, -Yc])
+    fields = {"x": np.concatenate([Xc, Xc]), "y": np.concatenate([Yc, -Yc]), "y_sign": np.repeat([1, -1], len(Xc))}
     E2 = per_row([eps for _, eps in points])[rows2]
     lam = per_row([kind.name.startswith("lambda") for kind, _ in points])[rows2]
-    v = np.empty(len(X2))
-    if np.any(lam):
-        v[lam] = lambda_point_batch(norm, X2[lam], Y2[lam], E2[lam], tol=_ENGINE_LAMBDA_TOL)
-    if not np.all(lam):
-        zeta = ~lam
-        v[zeta] = np.asarray(norm(X2[zeta] + E2[zeta, None] * Y2[zeta]))
-    hi = np.full(len(X), -math.inf)
-    lo = np.full(len(X), math.inf)
+    v = np.empty(len(rows2))
+    for kind, m in ((_LAMBDA, lam), (_ZETA, ~lam)):
+        if np.any(m):
+            v[m] = _config_value(norm, kind, E2[m], {"x": fields["x"][m], "y": fields["y"][m]}, None)
+    return rows2, v, fields
+
+
+def _values_qn(norm: Norm, points, thetas, cone_samples: int) -> list[np.ndarray]:
+    """Per lambda or zeta point, the reduced values of its _qn_table rows."""
+    sizes = [len(th) for th in thetas]
+    rows2, v, _ = _qn_table(norm, points, thetas, cone_samples)
+    hi = np.full(sum(sizes), -math.inf)
+    lo = np.full(sum(sizes), math.inf)
     np.maximum.at(hi, rows2, v)
     np.minimum.at(lo, rows2, v)
-    out = np.where(per_row([kind.is_sup() for kind, _ in points]), hi, lo)
+    out = np.where(np.repeat([kind.is_sup() for kind, _ in points], sizes), hi, lo)
     return np.split(out, np.cumsum(sizes)[:-1])
 
 
@@ -583,7 +596,9 @@ def _objective_1d(norm: Norm, points, dual: Norm | None, cone_samples: int, chor
             if isinstance(scan, InfeasibleError):
                 failed[i] = scan
             else:
-                out[i] = _chord_values(norm, points[i][0], scan, dual)
+                kind = points[i][0]
+                values = np.stack([v for v, _ in _chord_table(norm, kind, scan, dual)])
+                out[i] = np.max(values, axis=0) if kind.is_sup() else np.min(values, axis=0)
         if qn:
             for i, v in zip(qn, _values_qn(norm, [points[i] for i in qn], [thetas[i] for i in qn], cone_samples)):
                 out[i] = v
@@ -594,20 +609,11 @@ def _objective_1d(norm: Norm, points, dual: Norm | None, cone_samples: int, chor
 
 def _objective_2d(norm: Norm, kind: ModulusKind, eps: float):
     """The two-angle objective of rho or milman on (theta_x, theta_y) rows."""
-    if kind.name == "rho":
-
-        def obj(P):
-            X = norm.sphere_point(P[:, 0])
-            Y = eps * norm.sphere_point(P[:, 1])
-            return 0.5 * (np.asarray(norm(X + Y)) + np.asarray(norm(X - Y))) - 1.0
-
-        return obj
-    inner = np.maximum if kind.name == "milman-minus" else np.minimum
 
     def obj(P):
-        X = norm.sphere_point(P[:, 0])
         Y = norm.sphere_point(P[:, 1])
-        return inner(np.asarray(norm(X + eps * Y)), np.asarray(norm(X - eps * Y))) - 1.0
+        fields = {"x": norm.sphere_point(P[:, 0]), "y": eps * Y if kind.name == "rho" else Y}
+        return _config_value(norm, kind, eps, fields, None)
 
     return obj
 
@@ -615,113 +621,24 @@ def _objective_2d(norm: Norm, kind: ModulusKind, eps: float):
 # -- witnesses -----------------------------------------------------------------
 
 
-def _vec(v) -> list[float]:
-    return [float(v[0]), float(v[1])]
-
-
 def _describe_theta(norm: Norm, kind: ModulusKind, eps: float, theta: float, dual: Norm | None, cone_samples: int) -> dict:
-    """Witness for a single-angle kind at the extremal theta: the concrete
-    configuration (points, functionals, side) achieving the reported value."""
-    name = kind.name
-    pick_max = kind.is_sup()
+    """Witness for a single-angle kind at the extremal theta: the first
+    extremal configuration of the kind's table on the one-row scan at theta."""
     th = np.array([theta])
-    best = None
-
-    def consider(value: float, data: dict):
-        nonlocal best
-        if best is None or (value > best[0] if pick_max else value < best[0]):
-            best = (value, data)
-
-    if name in ("delta", "banas", "delta-t", "beta-t"):
-        t = _midweight(kind)
-        X, Zs = _chord_points(norm, th, eps)
-        for (side, edge), Z in zip(_CHORD_BRANCHES, Zs):
-            v = 1.0 - float(norm(t * X[0] + (1.0 - t) * Z[0]))
-            consider(v, {"x": _vec(X[0]), "z": _vec(Z[0]), "side": int(side), "edge": edge})
-        witness = {"theta_x": float(theta), **best[1]}
-        if name in _PARAMETRIC:
-            witness["t"] = t
-    elif name in ("phi-minus", "phi-plus"):
-        X, Zs = _chord_points(norm, th, eps)
-        pm, pp = norm._support_batch(X)
-        for (side, edge), Z in zip(_CHORD_BRANCHES, Zs):
-            for P in (pm[0], pp[0]):
-                v = float(np.dot(P, X[0] - Z[0]))
-                consider(v, {"x": _vec(X[0]), "z": _vec(Z[0]), "p": _vec(P), "side": int(side), "edge": edge})
-        witness = {"theta_x": float(theta), **best[1]}
-    elif name in ("gamma-minus", "gamma-plus"):
-        X, Zs = _chord_points(norm, th, eps)
-        pm1, pp1 = norm._support_batch(X)
-        for (side, edge), Z in zip(_CHORD_BRANCHES, Zs):
-            pm2, pp2 = norm._support_batch(Z)
-            for P1 in (pm1[0], pp1[0]):
-                for P2 in (pm2[0], pp2[0]):
-                    v = float(np.dot(P1 - P2, X[0] - Z[0]))
-                    consider(
-                        v,
-                        {
-                            "x1": _vec(X[0]),
-                            "x2": _vec(Z[0]),
-                            "p1": _vec(P1),
-                            "p2": _vec(P2),
-                            "side": int(side),
-                            "edge": edge,
-                        },
-                    )
-        witness = {"theta_x": float(theta), **best[1]}
-    elif name in ("d-minus", "d-plus"):
-        X, Zs = _chord_points(norm, th, eps)
-        pm1, pp1 = norm._support_batch(X)
-        for (side, edge), Z in zip(_CHORD_BRANCHES, Zs):
-            pm2, pp2 = norm._support_batch(Z)
-            if name == "d-plus":
-                for P1 in (pm1[0], pp1[0]):
-                    for P2 in (pm2[0], pp2[0]):
-                        v = float(dual(P1 - P2))
-                        consider(
-                            v,
-                            {
-                                "x1": _vec(X[0]),
-                                "x2": _vec(Z[0]),
-                                "p1": _vec(P1),
-                                "p2": _vec(P2),
-                                "side": int(side),
-                                "edge": edge,
-                            },
-                        )
-            else:
-                vals, s_arg, t_arg = _d_minus_over_segments(dual, pm1, pp1, pm2, pp2, with_args=True)
-                s, tt = float(s_arg[0]), float(t_arg[0])
-                P1 = pm1[0] + s * (pp1[0] - pm1[0])
-                P2 = pm2[0] + tt * (pp2[0] - pm2[0])
-                consider(
-                    float(vals[0]),
-                    {
-                        "x1": _vec(X[0]),
-                        "x2": _vec(Z[0]),
-                        "p1": _vec(P1),
-                        "p2": _vec(P2),
-                        "side": int(side),
-                        "edge": edge,
-                        "s": s,
-                        "t_seg": tt,
-                    },
-                )
-        witness = {"theta_x": float(theta), **best[1]}
-    elif name in ("lambda-minus", "lambda-plus", "zeta-minus", "zeta-plus"):
-        X = norm.sphere_point(th)
-        rows, Xc, Yc = _qn_directions(norm, X, cone_samples)
-        for sgn in (1.0, -1.0):
-            if name.startswith("lambda"):
-                vs = lambda_point_batch(norm, Xc, sgn * Yc, eps, tol=_ENGINE_LAMBDA_TOL)
-            else:
-                vs = np.asarray(norm(Xc + eps * sgn * Yc))
-            for i in range(len(Xc)):
-                consider(float(vs[i]), {"x": _vec(Xc[i]), "y": _vec(sgn * Yc[i]), "y_sign": int(sgn)})
-        witness = {"theta_x": float(theta), **best[1]}
+    if kind.name in _QN_KINDS:
+        table = [_qn_table(norm, [(kind, eps)], [th], cone_samples)[1:]]
     else:
-        raise InputError(f"kind {name!r} is not a single-angle kind")
-    witness["value"] = float(best[0])
+        table = _chord_table(norm, kind, _ChordScan(norm, th, *_chord_points(norm, th, eps)), dual)
+    values = np.concatenate([v for v, _ in table])
+    k = int(np.argmax(values) if kind.is_sup() else np.argmin(values))
+    for v, fields in table:  # the configuration holding flat row k, and k's row in it
+        if k < len(v):
+            break
+        k -= len(v)
+    witness = {"theta_x": float(theta), **{n: f[k].tolist() if isinstance(f, np.ndarray) else f for n, f in fields.items()}}
+    if kind.name in _PARAMETRIC:
+        witness["t"] = kind.t
+    witness["value"] = float(v[k])
     return witness
 
 
@@ -881,13 +798,12 @@ def _solve_two_angle(norm: Norm, points, grid_n_2d, refine_rounds) -> list:
         res = extremize(
             _objective_2d(norm, kind, eps), box, _mode(kind), grid_n=grid_n_2d, refine_rounds=refine_rounds, extra_points=extras
         )
-        x = norm.sphere_point(res.point[0])
-        y = (eps if kind.name == "rho" else 1.0) * np.asarray(norm.sphere_point(res.point[1]))
+        Y = norm.sphere_point(res.point[1])
         witness = {
             "theta_x": float(res.point[0]),
             "theta_y": float(res.point[1]),
-            "x": _vec(x),
-            "y": _vec(y),
+            "x": norm.sphere_point(res.point[0]).tolist(),
+            "y": (eps * Y if kind.name == "rho" else Y).tolist(),
             "value": float(res.value),
         }
         out.append(CurveSample(eps, float(res.value), int(grid_n_2d), max(float(res.tol), 1e-12), witness))
@@ -922,32 +838,13 @@ def modulus_curve(
 
 
 def reevaluate_witness(norm: Norm, kind: ModulusKind, eps: float, witness: dict) -> float:
-    """Recompute the objective value from a stored witness configuration."""
+    """Recompute the objective value from a stored witness configuration: the
+    kind's value expression on the stored fields, as a one-row batch."""
     if witness.get("degenerate"):
         return _convention_at_zero(kind)
-    name = kind.name
-    get = lambda k: np.asarray(witness[k], dtype=float)
-    if name in ("delta", "banas", "delta-t", "beta-t"):
-        t = _midweight(kind)
-        return 1.0 - float(norm(t * get("x") + (1.0 - t) * get("z")))
-    if name in ("phi-minus", "phi-plus"):
-        return float(np.dot(get("p"), get("x") - get("z")))
-    if name in ("gamma-minus", "gamma-plus"):
-        return float(np.dot(get("p1") - get("p2"), get("x1") - get("x2")))
-    if name in ("d-minus", "d-plus"):
-        return float(norm.dual()(get("p1") - get("p2")))
-    if name in ("lambda-minus", "lambda-plus"):
-        return float(lambda_point_batch(norm, get("x")[None, :], get("y")[None, :], eps, tol=_ENGINE_LAMBDA_TOL)[0])
-    if name in ("zeta-minus", "zeta-plus"):
-        return float(norm(get("x") + eps * get("y")))
-    if name == "rho":
-        x, y = get("x"), get("y")
-        return 0.5 * (float(norm(x + y)) + float(norm(x - y))) - 1.0
-    if name in ("milman-minus", "milman-plus"):
-        x, y = get("x"), get("y")
-        a, b = float(norm(x + eps * y)), float(norm(x - eps * y))
-        return (max(a, b) if name == "milman-minus" else min(a, b)) - 1.0
-    raise InputError(f"unhandled kind {name!r}")
+    fields = {k: np.asarray(v, dtype=float)[None] for k, v in witness.items() if isinstance(v, list)}
+    dual = norm.dual() if kind.name.startswith("d-") else None
+    return float(_config_value(norm, kind, eps, fields, dual)[0])
 
 
 # -- area additivity of the tangent-sweep curve ---------------------------------
@@ -1021,16 +918,11 @@ def parse_curve_csv(text: str) -> list[dict]:
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) < 4:
-            raise InputError(f"malformed CSV row: {ln!r}")
-        rows.append(
-            {
-                "eps": float(parts[0]),
-                "value": float(parts[1]),
-                "grid_n": int(parts[2]),
-                "refine_tol": float(parts[3]),
-            }
-        )
+        try:
+            eps, value, grid_n, refine_tol = float(parts[0]), float(parts[1]), int(parts[2]), float(parts[3])
+        except (IndexError, ValueError):
+            raise InputError(f"malformed CSV row: {ln!r}") from None
+        rows.append({"eps": eps, "value": value, "grid_n": grid_n, "refine_tol": refine_tol})
     return rows
 
 

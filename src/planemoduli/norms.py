@@ -155,53 +155,12 @@ class EuclideanNorm(Norm):
         return {"kind": "euclidean"}
 
 
-class LpNorm(Norm):
-    """The l_p norm for p in [1, inf]. p=1 and p=inf delegate support-set and
-    vertex logic to an internal 4-vertex polygon (diamond / square)."""
-
-    kind = "lp"
-
-    def __init__(self, p):
-        p = _parse_p(p)
-        self.p = p
-        self._poly = None
-        if p == 1.0:
-            self._poly = PolygonNorm([(1, 0), (0, 1), (-1, 0), (0, -1)])
-        elif math.isinf(p):
-            self._poly = PolygonNorm([(1, 1), (-1, 1), (-1, -1), (1, -1)])
-
-    def _eval(self, a):
-        if self.p == 1.0:
-            return np.sum(np.abs(a), axis=-1)
-        if math.isinf(self.p):
-            return np.max(np.abs(a), axis=-1)
-        if self.p == 2.0:
-            return np.sqrt(np.sum(a * a, axis=-1))
-        return np.sum(np.abs(a) ** self.p, axis=-1) ** (1.0 / self.p)
-
-    def dual(self):
-        return LpNorm(_conjugate(self.p))
-
-    def _support_batch(self, X):
-        if self._poly is not None:
-            return self._poly._support_batch(X)
-        U = X / np.asarray(self._eval(X))[..., None]
-        P = np.sign(U) * np.abs(U) ** (self.p - 1.0)
-        return P, P.copy()
-
-    def special_angles(self):
-        if self._poly is not None:
-            return self._poly.special_angles()
-        return np.empty(0, dtype=float)
-
-    def to_json_dict(self):
-        return {"kind": "lp", "p": "inf" if math.isinf(self.p) else self.p}
-
-
 class WeightedLpNorm(Norm):
     """Diagonal scaling followed by l_p: ||x|| = ||(w1*x1, w2*x2)||_p.
 
     The dual is the weighted l_q norm with reciprocal weights, uniformly in p.
+    p=1 and p=inf delegate support-set and vertex logic to an internal
+    4-vertex polygon (rhombus / rectangle).
     """
 
     kind = "weighted-lp"
@@ -213,6 +172,7 @@ class WeightedLpNorm(Norm):
             raise RepresentationError("weights must be two positive finite numbers")
         self.p = p
         self.w = w
+        self._unit = bool(np.all(w == 1.0))  # unit weights skip the scaling
         self._poly = None
         if p == 1.0:
             a, b = 1.0 / w[0], 1.0 / w[1]
@@ -222,11 +182,13 @@ class WeightedLpNorm(Norm):
             self._poly = PolygonNorm([(a, b), (-a, b), (-a, -b), (a, -b)])
 
     def _eval(self, a):
-        s = a * self.w
+        s = a if self._unit else a * self.w
         if self.p == 1.0:
             return np.sum(np.abs(s), axis=-1)
         if math.isinf(self.p):
             return np.max(np.abs(s), axis=-1)
+        if self.p == 2.0:
+            return np.sqrt(np.sum(s * s, axis=-1))
         return np.sum(np.abs(s) ** self.p, axis=-1) ** (1.0 / self.p)
 
     def dual(self):
@@ -250,6 +212,24 @@ class WeightedLpNorm(Norm):
             "p": "inf" if math.isinf(self.p) else self.p,
             "w": [float(self.w[0]), float(self.w[1])],
         }
+
+
+class LpNorm(WeightedLpNorm):
+    """The l_p norm for p in [1, inf]: the weighted l_p norm with unit weights."""
+
+    kind = "lp"
+    # the inherited function, also named in this class's own dict, where the
+    # perfbench tests look up the evaluator they expect the tracer to restore
+    _eval = WeightedLpNorm._eval
+
+    def __init__(self, p):
+        super().__init__(p, (1.0, 1.0))
+
+    def dual(self):
+        return LpNorm(_conjugate(self.p))
+
+    def to_json_dict(self):
+        return {"kind": "lp", "p": "inf" if math.isinf(self.p) else self.p}
 
 
 class PolygonNorm(Norm):

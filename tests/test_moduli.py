@@ -27,6 +27,7 @@ from planemoduli import (
     reevaluate_witness,
     regular_polygon_norm,
     rows_to_csv,
+    weighted_lp_norm,
 )
 from planemoduli import moduli
 from planemoduli import modulus_batch
@@ -487,6 +488,13 @@ def test_infeasible_chord_scan_is_not_kept():
         (LP3, "delta-t:0.3", 1.5),
         (HEXAGON, "lambda-minus", 0.4),
         (HEXAGON, "milman-minus", 0.5),
+        (LP3, "delta", 0.9),
+        (HEXAGON, "phi-minus", 0.7),
+        (HEXAGON, "zeta-minus", 0.6),
+        (LP3, "gamma-minus", 1.1),
+        (HEXAGON, "d-plus", 0.8),
+        (LP3, "milman-plus", 0.6),
+        (HEXAGON, "beta-t:0.7", 1.3),
     ],
 )
 def test_witness_reevaluates_to_value(norm, token, eps):
@@ -496,6 +504,32 @@ def test_witness_reevaluates_to_value(norm, token, eps):
     tol = max(2.0 * sample.refine_tol, 1e-8)
     assert again == pytest.approx(sample.value, abs=tol)
     assert sample.witness["value"] == pytest.approx(sample.value, abs=1e-9)
+
+
+WITNESS_NORMS = {
+    "lp3": LP3,
+    "euclidean": EUCLID,
+    "weighted-lp": weighted_lp_norm(2.5, 1.3, 0.7),
+    "hexagon": HEXAGON,
+    "random-polygon": ROW_NORMS[2],
+}
+
+
+@pytest.mark.parametrize("name", WITNESS_NORMS)
+def test_witness_value_is_the_sample_value(name):
+    # the witness is the extremal configuration of the kind's table, valued by
+    # the expression that valued the sample: equal bit for bit on smooth norms;
+    # on polygons the witness's one-row scan rounds differently (a one-row
+    # a @ F.T), so there the two agree to 1e-9
+    norm = WITNESS_NORMS[name]
+    polygon = norm.kind == "polygon"
+    off = []
+    for token in ALL_TOKENS:
+        sample = modulus(norm, K(token), 0.6, grid_n=128, refine_rounds=3, cone_samples=9, grid_n_2d=64)
+        got = sample.witness["value"]
+        if (abs(got - sample.value) > 1e-9) if polygon else (got != sample.value):
+            off.append((token, sample.value, got))
+    assert off == []
 
 
 # -- area additivity ---------------------------------------------------------------
@@ -534,6 +568,15 @@ def test_csv_round_trip_is_byte_identical():
     with_ref = curve_to_csv(curve, with_hilbert=True)
     assert with_ref.splitlines()[0].endswith(",hilbert")
     assert len(with_ref.splitlines()[1].split(",")) == 5
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["0.5,a,128,1e-9", "0.5,0.1,1.5,1e-9", "x,0.1,128,1e-9", "0.5,0.1,128,", "0.5,0.1,128"],
+)
+def test_parse_curve_csv_rejects_malformed_rows(row):
+    with pytest.raises(InputError, match="malformed CSV row"):
+        parse_curve_csv(f"eps,value,grid_n,refine_tol\n{row}\n")
 
 
 def test_curve_json_dict_shape():

@@ -182,6 +182,31 @@ def test_failing_check_reproduces_from_witness():
     assert abs(replay_witness(rec.witness) - rec.worst_margin) <= 1e-9
 
 
+def _false_phi_minus_record():
+    # phi-minus on lp:1 is 0 at eps = 1.999998, so phi-minus(eps) >= 1 is
+    # false by a margin of -1; there refine_tol is about 4, the size of the
+    # objective's jump at the facet-length chords, and sigma is that estimate
+    if "test-phi-minus-floor" not in check_ids():
+        phi = ModulusKind("phi-minus")
+        fn = lambda eps: [Relation("1 <= phi-minus(eps)", -1.0, (Term(1.0, phi, eps),))]  # noqa: E731
+        register_check(CheckDef("test-phi-minus-floor", "inequality", "deliberately false", (0.0, 2.0), relations=_pointwise(fn)))
+    spec = CheckSpec("test-phi-minus-floor", "inequality", (lp_norm(1),), (1.999998,), 1e-3)
+    (rec,) = run_suite([spec], settings=SuiteSettings()).checks
+    return rec
+
+
+def test_false_phi_minus_claim_has_margin_minus_one():
+    rec = _false_phi_minus_record()
+    (term,) = rec.witness["terms"]
+    assert term["value"] == pytest.approx(0.0, abs=1e-12)
+    assert rec.worst_margin == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="sigma is a refine_tol estimate, not a bound, and excuses the false claim (ROADMAP item 3)")
+def test_false_phi_minus_claim_fails():
+    assert _false_phi_minus_record().status == "fail"
+
+
 def test_gamma_monotonicity_margin():
     assert gamma_monotonicity_check(EUCLID, [0.7]) == math.inf
     margin = gamma_monotonicity_check(EUCLID, [0.5, 1.0, 1.5], settings=LIGHT)
