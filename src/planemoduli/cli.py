@@ -70,12 +70,12 @@ def parse_norm_token(token: str) -> Norm:
     if token in _NAMED_NORMS:
         return _NAMED_NORMS[token]()
     if token.startswith("lp:"):
-        return lp_norm(_num_or_inf(token[3:]))
+        return lp_norm(_number(token[3:], "p"))
     if token.startswith("weighted-lp:"):
         parts = token.split(":")
         if len(parts) != 4:
             raise InputError("weighted-lp norm takes weighted-lp:p:w1:w2")
-        return weighted_lp_norm(_num_or_inf(parts[1]), float(parts[2]), float(parts[3]))
+        return weighted_lp_norm(*(_number(part, "weighted-lp parameter") for part in parts[1:]))
     if token.startswith("polygon:"):
         return _norm_from_file(token[len("polygon:") :])
     if token.startswith("{"):
@@ -92,19 +92,21 @@ def parse_norm_token(token: str) -> Norm:
     )
 
 
-def _num_or_inf(text: str) -> float:
-    text = text.strip().lower()
-    if text in ("inf", "infinity"):
-        return math.inf
+def _number(text: str, what: str) -> float:
+    """float(text), which also reads inf and infinity in any case, or an
+    InputError that names the argument."""
     try:
         return float(text)
-    except ValueError as exc:
-        raise InputError(f"expected a number or 'inf', got {text!r}") from exc
+    except ValueError:
+        raise InputError(f"{what}: expected a number, got {text.strip()!r}") from None
 
 
 def _norm_from_file(path: str) -> Norm:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise InputError(f"norm file {path} is not valid JSON: {exc}") from None
     if isinstance(data, list):
         return polygon_norm(data)
     return norm_from_json(data)
@@ -114,14 +116,14 @@ def parse_eps_range(token: str) -> list[float]:
     """A single eps value, or an inclusive range 'a:b:step'."""
     token = token.strip()
     if ":" not in token:
-        value = float(token)
+        value = _number(token, "eps")
         if not math.isfinite(value):
             raise InputError("eps must be finite")
         return [value]
     parts = token.split(":")
     if len(parts) != 3:
         raise InputError("eps range takes the form a:b:step")
-    a, b, step = (float(p) for p in parts)
+    a, b, step = (_number(part, "eps range") for part in parts)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(step)):
         raise InputError("eps range endpoints and step must be finite")
     if step <= 0.0 or b < a:
@@ -209,6 +211,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    if args.sphere_points < 1:
+        raise InputError(f"--sphere-points must be at least 1, got {args.sphere_points}")
     norm = parse_norm_token(args.norm)
     x = norm.sphere_point(args.theta_x)
     if args.y_angle is not None:

@@ -96,6 +96,14 @@ _SUP_KINDS = frozenset(
 )
 
 CHORD_ITERATIONS = 46
+# The chord solver's target: a bracket no wider than pi * 2**-CHORD_ITERATIONS,
+# the width CHORD_ITERATIONS halvings of [0, pi] reach. _CHORD_HALF_WIDTH is
+# its half, ITP's epsilon. The truncation step is _ITP_K1 * width**2, with the
+# constants Oliveira & Takahashi recommend (0.2 / initial width, exponent 2),
+# and _ITP_N0 = 1 slack step caps each row at CHORD_ITERATIONS + 1 evaluations.
+_CHORD_HALF_WIDTH = math.ldexp(math.pi, -CHORD_ITERATIONS - 1)
+_ITP_K1 = 0.2 / math.pi
+_ITP_N0 = 1
 _ENGINE_LAMBDA_TOL = 1e-7
 
 
@@ -207,38 +215,106 @@ def hilbert_reference(kind: ModulusKind, eps: float) -> float:
 # -- chord solving -------------------------------------------------------------
 
 
+def _chord_lengths(norm: Norm, thetas: np.ndarray, targets: np.ndarray, sides: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """||S(theta + side*u) - target|| per row. A lone row is evaluated as two
+    copies: a one-row product (PolygonNorm._eval's a @ F.T) rounds differently
+    from a many-row one, and a row's chord must not depend on its company."""
+    if len(u) == 1:
+        return _chord_lengths(norm, *(np.repeat(a, 2, axis=0) for a in (thetas, targets, sides, u)))[:1]
+    return np.asarray(norm(norm.sphere_point(thetas + sides * u) - targets))
+
+
+def _bisected_ends(past: bool) -> tuple[float, float]:
+    """The bracket CHORD_ITERATIONS halvings of [0, pi] end on when every
+    midpoint is past the threshold (past True) or none is."""
+    lo, hi = 0.0, math.pi
+    for _ in range(CHORD_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if past else (mid, hi)
+    return lo, hi
+
+
+_ALL_PAST = _bisected_ends(True)
+_NONE_PAST = _bisected_ends(False)
+
+
 def _chord_offsets_rows(
     norm: Norm, thetas: np.ndarray, targets: np.ndarray, eps, sides: np.ndarray, is_far: np.ndarray
 ) -> np.ndarray:
     """Per row, an arc offset u in [0, pi] with ||S(theta + side*u) - target|| = eps.
 
-    Chord length from a fixed sphere point is nondecreasing along each arc to
-    the antipode, so bisection applies. The chord-eps level set may be a flat
-    arc (polygon facets); rows with is_far False converge to its end nearest
-    the start, rows with is_far True to the opposite end (both coincide for
-    strictly convex norms). side, edge and eps (a scalar or one value per row)
-    vary per row so that all branches and chord lengths share one bisection
-    loop.
+    Chord length c(u) from a fixed sphere point is nondecreasing along each arc
+    to the antipode. The chord-eps level set may be a flat arc (polygon
+    facets); rows with is_far False return the end nearest the start, rows
+    with is_far True the opposite end (both coincide for strictly convex
+    norms). Each row keeps a bracket [lo, hi] around the crossing of a
+    threshold just inside the level set: c(lo) < eps - band <= c(hi) for a
+    near row, which returns hi, and c(lo) <= eps + band < c(hi) for a far row,
+    which returns lo. The bracket shrinks by ITP steps (Oliveira & Takahashi,
+    ACM TOMS 47(1), 2020): a regula falsi estimate, truncated toward the
+    midpoint and projected into the ball around it that keeps bisection's
+    worst case. A row stops once its bracket is no wider than CHORD_ITERATIONS
+    halvings of [0, pi] would leave it, after at most CHORD_ITERATIONS + 1
+    chord evaluations, and fewer where c is smooth at the crossing. A row
+    with no crossing in (0, pi) gets the end bisection converges to, without
+    iterating. side, edge and eps (a scalar or one value per row) vary per
+    row so that all branches and chord lengths share one solve; each row's
+    steps depend on that row alone.
     """
-    lo = np.zeros_like(thetas)
-    hi = np.full_like(thetas, np.pi)
-    top = np.asarray(norm(norm.sphere_point(thetas + sides * np.pi) - targets))
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), np.shape(thetas))
+    top = _chord_lengths(norm, thetas, targets, sides, np.full_like(thetas, np.pi))
     short = top < eps - 1e-9
     if np.any(short):
-        eps_short = float(np.broadcast_to(eps, short.shape)[short][0])
-        raise InfeasibleError(f"no chord of length {eps_short} from some sphere point")
+        raise InfeasibleError(f"no chord of length {float(eps[short][0])} from some sphere point")
     # a small band around eps keeps rounding noise on flat stretches from
     # flipping the membership test and collapsing the far edge onto the near one
     band = 1e-11 * np.maximum(1.0, eps)
-    near_thr = eps - band
-    far_thr = eps + band
-    for _ in range(CHORD_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        c = np.asarray(norm(norm.sphere_point(thetas + sides * mid) - targets))
-        move_hi = np.where(is_far, c > far_thr, c >= near_thr)
-        hi = np.where(move_hi, mid, hi)
-        lo = np.where(move_hi, lo, mid)
-    return np.where(is_far, lo, hi)
+    thr = np.where(is_far, eps + band, eps - band)
+    # u is past the threshold when c(u) >= thr on a near row and c(u) > thr on
+    # a far row, that is when the gap c(u) - thr is at least 0, or at least the
+    # least positive float
+    floor = np.where(is_far, np.nextafter(0.0, 1.0), 0.0)
+    gap_lo, gap_hi = -thr, top - thr  # c(0) = 0
+    # where u = 0 is past, every u is, and where pi is not, none is: those
+    # rows get the bracket bisection ends on without evaluating c
+    all_past = gap_lo >= floor
+    u = np.where(all_past, np.where(is_far, *_ALL_PAST), np.where(is_far, *_NONE_PAST))
+    rows = np.flatnonzero(~all_past & (gap_hi >= floor))
+    th, side, target, far, thr, floor = (a[rows] for a in (thetas, sides, targets, is_far, thr, floor))
+    glo, ghi = gap_lo[rows], gap_hi[rows]
+    lo, hi = np.zeros(len(rows)), np.full(len(rows), np.pi)
+    width = hi - lo
+    for j in range(CHORD_ITERATIONS + _ITP_N0):
+        if not len(rows):
+            break
+        half = 0.5 * width
+        mid = lo + half
+        # regula falsi, as an offset from the midpoint (a zero or non-finite
+        # denominator falls back to the midpoint), truncated toward the
+        # midpoint by step and projected into the radius around it that keeps
+        # the bracket within bisection's schedule plus _ITP_N0 steps
+        den = glo - ghi
+        t = np.divide(glo, den, out=np.full_like(den, 0.5), where=np.isfinite(den) & (den != 0.0))
+        offset = (t - 0.5) * width
+        step = np.maximum(_ITP_K1 * width * width, _CHORD_HALF_WIDTH)
+        radius = math.ldexp(_CHORD_HALF_WIDTH, CHORD_ITERATIONS + _ITP_N0 - j) - half
+        x = mid + np.copysign(np.maximum(np.minimum(np.abs(offset) - step, radius), 0.0), offset)
+        gap = _chord_lengths(norm, th, target, side, x) - thr
+        moved = gap >= floor
+        np.copyto(hi, x, where=moved)
+        np.copyto(ghi, gap, where=moved)
+        np.copyto(lo, x, where=~moved)
+        np.copyto(glo, gap, where=~moved)
+        width = hi - lo
+        done = width <= 2.0 * _CHORD_HALF_WIDTH
+        if done.any():
+            u[rows[done]] = np.where(far[done], lo[done], hi[done])
+            keep = ~done
+            rows, th, side, target, far, thr, floor, lo, hi, glo, ghi, width = (
+                a[keep] for a in (rows, th, side, target, far, thr, floor, lo, hi, glo, ghi, width)
+            )
+    u[rows] = np.where(far, lo, hi)
+    return u
 
 
 _CHORD_BRANCHES = ((1.0, "near"), (1.0, "far"), (-1.0, "near"), (-1.0, "far"))
@@ -296,7 +372,7 @@ class _ChordScan:
 
 
 def _chord_scans(norm: Norm, requests) -> list[_ChordScan]:
-    """One _ChordScan per (eps, thetas) request, all bisected in one call."""
+    """One _ChordScan per (eps, thetas) request, all solved in one call."""
     thetas = [th for _, th in requests]
     sizes = [len(th) for th in thetas]
     X, Zs = _chord_points(norm, np.concatenate(thetas), np.repeat([eps for eps, _ in requests], sizes))
@@ -307,7 +383,7 @@ def _chord_scans(norm: Norm, requests) -> list[_ChordScan]:
 
 def _partner_angles(norm: Norm, base: np.ndarray, eps_values) -> list[np.ndarray]:
     """Per eps, the angles whose near chord partner at distance eps is the
-    sphere point at a base angle, on both arc sides, in one bisection."""
+    sphere point at a base angle, on both arc sides, in one chord solve."""
     n, m = len(base), len(eps_values)
     sides = np.tile(np.repeat([1.0, -1.0], n), m)
     th = np.tile(base, 2 * m)
@@ -334,7 +410,7 @@ class ChordScans:
     """Chord data of one run: coarse chord scans keyed by (norm, eps, grid_n),
     and vertex chord-partner angles keyed by (norm, eps).
 
-    The chord kinds (delta, banas, delta-t, beta-t, phi, gamma, d) bisect the
+    The chord kinds (delta, banas, delta-t, beta-t, phi, gamma, d) solve the
     same chords ||x - z|| = eps on the same coarse theta grid and differ only
     in what they evaluate on them. The first chord scan of a key is the
     engine's coarse scan: its thetas, sphere points X and partners Zs are kept
@@ -355,7 +431,7 @@ class ChordScans:
     def chords(self, norm: Norm, grid_n: int, requests) -> list:
         """A _ChordScan per (eps, thetas) request, or the InfeasibleError the
         request raises alone. Requests that match a kept scan reuse it; all
-        others go through one bisection, in which identical requests (equal
+        others go through one chord solve, in which identical requests (equal
         eps and thetas) are solved once."""
         nkey = norm_key(norm)
         out = [None] * len(requests)
@@ -379,7 +455,7 @@ class ChordScans:
         """Per eps, the coarse-scan angles whose chord partner at distance eps
         lands exactly on a polygon vertex (empty for smooth norms), or the
         InfeasibleError that eps raises alone. The eps values not kept yet are
-        bisected in one call."""
+        solved in one call."""
         nkey = norm_key(norm)
         base = np.mod(norm.special_angles(), 2.0 * np.pi)
         if base.size == 0:
@@ -665,7 +741,7 @@ def modulus(
     grid_n is the coarse angular resolution for single-angle kinds; the
     two-angle kinds (rho, milman) scan a grid_n_2d x grid_n_2d product grid.
     chord_scans lets the chord kinds of one run share their coarse chord
-    bisection (see ChordScans); without it each call bisects its own. This is
+    solve (see ChordScans); without it each call solves its own. This is
     modulus_batch for a single point, raising the error it would return.
     """
     (out,) = _solve(norm, [(kind, eps)], grid_n, refine_rounds, cone_samples, grid_n_2d, chord_scans)
@@ -687,7 +763,7 @@ def modulus_batch(
     """Many points (kind, eps) of one norm, solved together.
 
     The single-angle points run as one lockstep extremize_batch, so each
-    engine step makes one objective call for all of them: one chord bisection
+    engine step makes one objective call for all of them: one chord solve
     for every chord kind (with the coarse scans shared through chord_scans, as
     in modulus) and one quasi-normal pass for the lambda and zeta kinds. The
     rho and milman points are searched one at a time (see _solve_two_angle).

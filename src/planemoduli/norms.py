@@ -49,7 +49,10 @@ def perp(v: np.ndarray) -> np.ndarray:
 
 
 def _points(v, name: str = "v") -> np.ndarray:
-    a = np.asarray(v, dtype=float)
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be an array of numbers") from None
     if a.ndim == 0 or a.shape[-1] != 2:
         raise InputError(f"{name} must have shape (..., 2), got {a.shape}")
     if not np.all(np.isfinite(a)):

@@ -107,10 +107,10 @@ class ModulusCache:
     The sandwich checks evaluate the same curves at shared grid points many
     times over; caching keeps the default suite inside its time budget. A
     check hands all its points for one norm to sample_many, which solves the
-    misses as one lockstep modulus_batch: one chord bisection per engine step
+    misses as one lockstep modulus_batch: one chord solve per engine step
     for every chord kind and eps, and one quasi-normal pass for the lambda and
     zeta kinds. The cache also holds the coarse chord scans of its run
-    (ChordScans), so the chord kinds at one (norm, eps) bisect the coarse grid
+    (ChordScans), so the chord kinds at one (norm, eps) solve the coarse grid
     once between them, across batches too. A point that raises DomainError or
     InfeasibleError is remembered with its error, which sample raises again.
     One cache serves one run and is dropped with it.

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from planemoduli import (
     InfeasibleError,
     InputError,
     ModulusKind,
+    Norm,
     UnsupportedNormError,
     area_additivity_check,
     canonical_json,
@@ -32,7 +34,7 @@ from planemoduli import (
 from planemoduli import moduli
 from planemoduli import modulus_batch
 from planemoduli.moduli import KIND_NAMES, ChordScans, _chord_points, _objective_1d, _objective_2d
-from planemoduli.verify import ModulusCache, SuiteSettings, _sample_polygon
+from planemoduli.verify import ModulusCache, SuiteSettings, _sample_family, _sample_polygon, standard_norms
 
 EUCLID = euclidean_norm()
 SQUARE = lp_norm("inf")
@@ -368,6 +370,129 @@ def test_modulus_curve_is_one_batch(monkeypatch):
     calls.clear()
     want = [modulus(LP3, K("gamma-plus"), e, **BATCH_SETTINGS) for e in (0.3, 0.6, 0.9)]
     assert curve.samples == want and calls == [1, 1, 1]
+
+
+# -- the chord solver against the bisection it replaced -----------------------------
+
+
+def _bisect_chords(norm, thetas, targets, eps, sides, is_far):
+    """Reference: CHORD_ITERATIONS halvings of [0, pi] on every row, with the
+    same band and the same near/far membership test as the solver."""
+    lo = np.zeros_like(thetas)
+    hi = np.full_like(thetas, np.pi)
+    band = 1e-11 * np.maximum(1.0, eps)
+    for _ in range(moduli.CHORD_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        c = np.asarray(norm(norm.sphere_point(thetas + sides * mid) - targets))
+        move_hi = np.where(is_far, c > eps + band, c >= eps - band)
+        hi = np.where(move_hi, mid, hi)
+        lo = np.where(move_hi, lo, mid)
+    return np.where(is_far, lo, hi)
+
+
+def _branch_rows(norm, thetas, eps):
+    """The rows _chord_points solves: every angle on all four branches."""
+    b = len(moduli._CHORD_BRANCHES)
+    sides = np.repeat([s for s, _ in moduli._CHORD_BRANCHES], len(thetas))
+    is_far = np.repeat([e == "far" for _, e in moduli._CHORD_BRANCHES], len(thetas))
+    X = norm.sphere_point(thetas)
+    return np.tile(thetas, b), np.tile(X, (b, 1)), np.full(b * len(thetas), eps), sides, is_far
+
+
+def _chord_length(norm, rows, u):
+    thetas, targets, _, sides, _ = rows
+    return np.asarray(norm(norm.sphere_point(thetas + sides * u) - targets))
+
+
+def _check_against_bisection(norm, rows, u):
+    """u keeps the bisection's bracket semantics and lands where bisection
+    does: within one final bracket width, or, where the chord length is too
+    flat in u for that (near the diameter), at a chord residual no larger
+    than the bisection's, up to the rounding of the chord length itself.
+    Rows without a crossing in (0, pi) get the bisection's end exactly.
+    Returns the mask of those rows."""
+    eps, is_far = rows[2], rows[4]
+    ref = _bisect_chords(norm, *rows)
+    band = 1e-11 * np.maximum(1.0, eps)
+    thr = np.where(is_far, eps + band, eps - band)
+    c, c_ref = _chord_length(norm, rows, u), _chord_length(norm, rows, ref)
+    top = _chord_length(norm, rows, np.full_like(u, np.pi))
+    past = lambda c: np.where(is_far, c > thr, c >= thr)  # noqa: E731
+    edge = past(np.zeros_like(u)) | ~past(top)
+    assert np.array_equal(u[edge], ref[edge])
+    assert np.all(np.where(is_far, ~past(c), past(c)) | edge)
+    close = np.abs(u - ref) <= math.ldexp(math.pi, -45)
+    assert np.all(close | (np.abs(c - eps) <= np.abs(c_ref - eps) + 4 * np.spacing(eps)))
+    return edge
+
+
+RANDOM_POLYGONS = _sample_family("random-polygons", 10, np.random.default_rng(2020))[0]
+CHORD_NORMS = (*standard_norms(), weighted_lp_norm(2.5, 1.3, 0.7), *(norm for _, norm in RANDOM_POLYGONS))
+CHORD_IDS = ("euclidean", "lp1", "lp1.5", "lp3", "lp-inf", "hexagon", "octagon", "weighted", *(label for label, _ in RANDOM_POLYGONS))
+
+
+@pytest.mark.parametrize("norm", CHORD_NORMS, ids=CHORD_IDS)
+def test_chord_solver_matches_bisection(norm, monkeypatch):
+    thetas = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False) + 0.01, norm.special_angles()])
+    calls = []
+    call = Norm.__call__
+
+    def counted(self, v):
+        calls.append(len(v))
+        return call(self, v)
+
+    for eps in (1e-6, 0.3, 0.7, 1.9, 1.999998, 2.0):
+        rows = _branch_rows(norm, thetas, eps)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Norm, "__call__", counted)
+            u = moduli._chord_offsets_rows(norm, *rows)
+        _check_against_bisection(norm, rows, u)
+        # a row's steps depend on that row alone, also when it is solved alone
+        for i in range(0, len(u), 23):
+            assert moduli._chord_offsets_rows(norm, *(a[i : i + 1] for a in rows))[0] == u[i], (eps, i)
+        # the first call is c(pi); each later one evaluates the rows still open
+        assert len(calls) - 1 <= moduli.CHORD_ITERATIONS + 1, eps
+        if norm.kind == "euclidean" and eps == 0.3:
+            assert sum(calls[1:]) / len(u) <= 12
+
+
+@pytest.mark.parametrize("norm", (SQUARE, HEXAGON), ids=("lp-inf", "hexagon"))
+def test_chord_solver_at_the_domain_edges(norm):
+    # eps = 0: no near row has a crossing; eps = 2: no far row has one;
+    # eps = 2 + 5e-10: feasible within the 1e-9 slack, but no row reaches the
+    # near threshold. None may divide by zero or otherwise warn.
+    thetas = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False) + 0.01, norm.special_angles()])
+    for eps, no_crossing in ((0.0, "near"), (2.0, "far"), (2.0 + 5e-10, "near")):
+        rows = _branch_rows(norm, thetas, eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = moduli._chord_offsets_rows(norm, *rows)
+        edge = _check_against_bisection(norm, rows, u)
+        assert np.all(edge[rows[4] == (no_crossing == "far")]), eps
+
+
+@pytest.mark.parametrize(
+    "norm,theta,eps,near,far",
+    [
+        # from (1, 0), the chords of length 1 end on the flat stretch from the
+        # corner (1, 1) to (0, 1), and mirrored on the other side
+        (SQUARE, 0.0, 1.0, math.pi / 4, math.pi / 2),
+        # a facet-length chord of the hexagon spans a sixth of a turn, from a
+        # vertex, a facet midpoint and a generic point alike
+        (HEXAGON, 0.0, 1.0, math.pi / 3, math.pi / 3),
+        (HEXAGON, math.pi / 6, 1.0, math.pi / 3, math.pi / 3),
+        (HEXAGON, 0.2, 1.0, math.pi / 3, math.pi / 3),
+    ],
+)
+def test_chord_near_and_far_ends(norm, theta, eps, near, far):
+    rows = _branch_rows(norm, np.array([theta]), eps)
+    u = moduli._chord_offsets_rows(norm, *rows)
+    # the 1e-11 band moves each end by about 1e-11 in u, outward from the
+    # level set: the near end comes earlier, the far end later
+    want = np.array([near, far, near, far])
+    assert np.all(np.abs(u - want) <= 2e-11), u - want
+    assert np.all(np.where(rows[4], u >= want, u <= want))
 
 
 # -- coarse chord scans shared across the chord kinds of one run -----------------
