@@ -243,23 +243,19 @@ def _chord_offsets_rows(
 ) -> np.ndarray:
     """Per row, an arc offset u in [0, pi] with ||S(theta + side*u) - target|| = eps.
 
-    Chord length c(u) from a fixed sphere point is nondecreasing along each arc
-    to the antipode. The chord-eps level set may be a flat arc (polygon
-    facets); rows with is_far False return the end nearest the start, rows
-    with is_far True the opposite end (both coincide for strictly convex
-    norms). Each row keeps a bracket [lo, hi] around the crossing of a
-    threshold just inside the level set: c(lo) < eps - band <= c(hi) for a
-    near row, which returns hi, and c(lo) <= eps + band < c(hi) for a far row,
-    which returns lo. The bracket shrinks by ITP steps (Oliveira & Takahashi,
-    ACM TOMS 47(1), 2020): a regula falsi estimate, truncated toward the
-    midpoint and projected into the ball around it that keeps bisection's
-    worst case. A row stops once its bracket is no wider than CHORD_ITERATIONS
-    halvings of [0, pi] would leave it, after at most CHORD_ITERATIONS + 1
-    chord evaluations, and fewer where c is smooth at the crossing. A row
-    with no crossing in (0, pi) gets the end bisection converges to, without
-    iterating. side, edge and eps (a scalar or one value per row) vary per
-    row so that all branches and chord lengths share one solve; each row's
-    steps depend on that row alone.
+    target is the sphere point S(theta). Chord length c(u) from a fixed sphere
+    point is nondecreasing along each arc to the antipode. The chord-eps level
+    set may be a flat arc (polygon facets); rows with is_far False return the
+    end nearest the start, rows with is_far True the opposite end (both
+    coincide for strictly convex norms). Each row answers for a threshold
+    just inside the level set: c(u) >= eps - band at a near row's u, which
+    comes no earlier than the crossing, and c(u) <= eps + band at a far row's
+    u, which comes no later. A row with no crossing in (0, pi) gets the end
+    CHORD_ITERATIONS halvings of [0, pi] converge to. On a polygonal norm the
+    crossing is solved in closed form (_polygon_offsets); on a smooth one by
+    ITP steps (_itp_offsets). side, edge and eps (a scalar or one value per
+    row) vary per row so that all branches and chord lengths share one solve;
+    each row's result depends on that row alone.
     """
     eps = np.broadcast_to(np.asarray(eps, dtype=float), np.shape(thetas))
     top = _chord_lengths(norm, thetas, targets, sides, np.full_like(thetas, np.pi))
@@ -280,9 +276,29 @@ def _chord_offsets_rows(
     all_past = gap_lo >= floor
     u = np.where(all_past, np.where(is_far, *_ALL_PAST), np.where(is_far, *_NONE_PAST))
     rows = np.flatnonzero(~all_past & (gap_hi >= floor))
-    th, side, target, far, thr, floor = (a[rows] for a in (thetas, sides, targets, is_far, thr, floor))
-    glo, ghi = gap_lo[rows], gap_hi[rows]
-    lo, hi = np.zeros(len(rows)), np.full(len(rows), np.pi)
+    if rows.size:
+        sel = [a[rows] for a in (thetas, targets, sides, is_far, thr, floor)]
+        polygon = norm._polygon()
+        if polygon is None:
+            u[rows] = _itp_offsets(norm, *sel, gap_lo[rows], gap_hi[rows])
+        else:
+            u[rows] = _polygon_offsets(norm, polygon, *sel)
+    return u
+
+
+def _itp_offsets(norm: Norm, th, target, side, far, thr, floor, glo, ghi) -> np.ndarray:
+    """The crossing rows of _chord_offsets_rows on a smooth norm. Each keeps
+    a bracket [lo, hi]: c(lo) < thr <= c(hi) on a near row, which returns hi,
+    and c(lo) <= thr < c(hi) on a far row, which returns lo. The bracket
+    shrinks by ITP steps (Oliveira & Takahashi, ACM TOMS 47(1), 2020): a
+    regula falsi estimate, truncated toward the midpoint and projected into
+    the ball around it that keeps bisection's worst case. A row stops once
+    its bracket is no wider than CHORD_ITERATIONS halvings of [0, pi] would
+    leave it, after at most CHORD_ITERATIONS + 1 chord evaluations, and fewer
+    where c is smooth at the crossing."""
+    u = np.empty(len(th))
+    rows = np.arange(len(th))
+    lo, hi = np.zeros(len(th)), np.full(len(th), np.pi)
     width = hi - lo
     for j in range(CHORD_ITERATIONS + _ITP_N0):
         if not len(rows):
@@ -314,6 +330,82 @@ def _chord_offsets_rows(
                 a[keep] for a in (rows, th, side, target, far, thr, floor, lo, hi, glo, ghi, width)
             )
     u[rows] = np.where(far, lo, hi)
+    return u
+
+
+def _scores(F: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """<F_j, a> for each row of a (shape (k, 2)) and each functional F_j, as
+    explicit column products, which round the same for any number of rows."""
+    return a[:, 0:1] * F[:, 0] + a[:, 1:2] * F[:, 1]
+
+
+def _polygon_offsets(norm: Norm, polygon, th, target, side, far, thr, floor) -> np.ndarray:
+    """The crossing rows of _chord_offsets_rows on a polygonal norm, in
+    closed form.
+
+    The threshold crossing lies on the edge from the last vertex on the arc
+    that is not past thr (or x itself) to the first one that is (or -x),
+    found by binary search since c is nondecreasing along the arc; past is
+    c >= thr on a near row and c > thr on a far row, which also picks the
+    right end of a flat level set. On that edge, z = P + t(Q - P) and
+    ||x - z|| = max_j (alpha_j + t gamma_j) over the facet functionals, so the
+    crossing is the least (thr - alpha_j) / gamma_j over gamma_j > 0. A row
+    whose evaluated c(u) lands on the wrong side of thr is moved by doubling
+    steps, a near row later and a far row earlier, until it does not, so that
+    each row keeps the semantics of the ITP bracket as evaluated.
+    """
+    V, F = polygon.vertices, polygon._functionals
+    n = len(V)
+    two_pi = 2.0 * math.pi
+    # arc offsets of the vertices from each row's start, on its side; the
+    # vertices strictly inside the half turn are a run of consecutive indices
+    W = np.mod(side[:, None] * (np.arctan2(V[:, 1], V[:, 0]) - th[:, None]), two_pi)
+    on = (W > 0.0) & (W < math.pi)
+    count = np.sum(on, axis=1)
+    first = np.argmin(np.where(on, W, np.inf), axis=1)
+    step = np.where(side > 0, 1, -1)
+    # the place on the arc of the first vertex past thr (count if none is)
+    lo, hi = np.zeros(len(th), dtype=int), count.copy()
+    while True:
+        act = np.flatnonzero(lo < hi)
+        if not act.size:
+            break
+        mid = (lo[act] + hi[act]) // 2
+        chord = target[act] - V[(first[act] + step[act] * mid) % n]
+        past = np.max(_scores(F, chord), axis=1) - thr[act] >= floor[act]
+        hi[act] = np.where(past, mid, hi[act])
+        lo[act] = np.where(past, lo[act], mid + 1)
+    k = np.arange(len(th))
+    has_p, has_q = lo > 0, lo < count
+    ip, iq = (first + step * (lo - 1)) % n, (first + step * lo) % n
+    P = np.where(has_p[:, None], V[ip], target)
+    Q = np.where(has_q[:, None], V[iq], -target)
+    u_p = np.where(has_p, W[k, ip], 0.0)
+    u_q = np.where(has_q, W[k, iq], math.pi)
+    E = Q - P
+    alpha, gamma = _scores(F, target - P), -_scores(F, E)
+    # aimed 16 ulps of max(1, eps) to the returned side of thr (above it on a
+    # near row, below on a far one), beyond the rounding of an evaluated chord
+    # length (a few ulps of the sphere points' size), so that the polish below
+    # seldom runs
+    aim = thr + np.where(far, -16.0, 16.0) * np.spacing(np.maximum(1.0, thr))
+    rise = gamma > 0.0
+    t = np.min(np.divide(aim[:, None] - alpha, gamma, out=np.full_like(alpha, np.inf), where=rise), axis=1)
+    Z = P + np.clip(t, 0.0, 1.0)[:, None] * E
+    # the offset of Z's angle, reduced into the half turn around the edge
+    d = side * (np.arctan2(Z[:, 1], Z[:, 0]) - th)
+    centre = 0.5 * (u_p + u_q)
+    u = np.clip(d - two_pi * np.round((d - centre) / two_pi), 0.0, math.pi)
+    gap = _chord_lengths(norm, th, target, side, u) - thr
+    bad = np.flatnonzero(np.where(far, gap >= floor, gap < floor))
+    delta = math.ulp(math.pi)
+    while bad.size and delta <= two_pi:  # the last step reaches the arc's end
+        trial = np.clip(u[bad] + np.where(far[bad], -delta, delta), 0.0, math.pi)
+        gap = _chord_lengths(norm, th[bad], target[bad], side[bad], trial) - thr[bad]
+        ok = np.where(far[bad], gap < floor[bad], gap >= floor[bad])
+        u[bad[ok]] = trial[ok]
+        bad = bad[~ok]
+        delta *= 2.0
     return u
 
 
@@ -533,53 +625,78 @@ def _chord_table(norm: Norm, kind: ModulusKind, scan: _ChordScan, dual: Norm | N
     return table
 
 
+# live d-minus rows valued at once: each holds 5 + 2n candidates, n the
+# number of vertices of the dual ball, and n scores per candidate
+_D_MINUS_CHUNK = 256
+
+
 def _d_minus_over_segments(dual: Norm, pm1, pp1, pm2, pp2):
     """Rowwise min of ||p1(s) - p2(t)||_* over the two support segments, and
     the minimizing (s, t) per row.
 
-    The map is convex in (s, t), so the minimum may sit in the interior; a
-    33x33 grid plus three shrink rounds resolves it. Rows where both segments
-    are degenerate take the direct value at s = t = 0.
+    Rows where both segments are degenerate (every row of a smooth norm) take
+    the value at s = t = 0. On the others, which only polygonal norms have,
+    p1(s) - p2(t) sweeps a parallelogram, on which the polygonal dual gauge is
+    linear in each cone between the rays through two adjacent vertices of its
+    unit ball. So the minimum sits at a corner, where an edge crosses such a
+    ray, or at the zero inside (_d_minus_candidates). The candidates are
+    valued by dual itself, so that a replay of the returned (s, t) gives the
+    returned value, and s = t = 0 wins ties.
     """
     out = np.asarray(dual(pm1 - pm2), dtype=float).copy()
     s_out = np.zeros_like(out)
     t_out = np.zeros_like(out)
     live = (np.asarray(dual(pp1 - pm1)) > 1e-12) | (np.asarray(dual(pp2 - pm2)) > 1e-12)
-    rows = np.nonzero(live)[0]
+    rows = np.flatnonzero(live)
     if rows.size == 0:
         return out, s_out, t_out
-    d1 = (pp1 - pm1)[rows]
-    d2 = (pp2 - pm2)[rows]
-    b1 = pm1[rows]
-    b2 = pm2[rows]
-    grid = np.linspace(0.0, 1.0, 33)
-    S, T = np.meshgrid(grid, grid, indexing="ij")
-    sf, tf = S.ravel(), T.ravel()
-    G = np.asarray(dual((b1[:, None, :] + sf[None, :, None] * d1[:, None, :]) - (b2[:, None, :] + tf[None, :, None] * d2[:, None, :])))
-    j = np.argmin(G, axis=1)
-    best = G[np.arange(len(rows)), j]
-    sc, tc = sf[j], tf[j]
-    w = 1.0 / 32.0
-    for _ in range(3):
-        offs = np.linspace(-0.5, 0.5, 9) * w
-        SS = np.clip(sc[:, None, None] + offs[None, :, None], 0.0, 1.0)
-        TT = np.clip(tc[:, None, None] + offs[None, None, :], 0.0, 1.0)
-        Sg = np.broadcast_to(SS, (len(rows), 9, 9)).reshape(len(rows), -1)
-        Tg = np.broadcast_to(TT, (len(rows), 9, 9)).reshape(len(rows), -1)
-        P1 = b1[:, None, None, :] + SS[..., None] * d1[:, None, None, :]
-        P2 = b2[:, None, None, :] + TT[..., None] * d2[:, None, None, :]
-        Gr = np.asarray(dual(P1 - P2)).reshape(len(rows), -1)
-        jj = np.argmin(Gr, axis=1)
-        better = Gr[np.arange(len(rows)), jj] < best
-        best = np.where(better, Gr[np.arange(len(rows)), jj], best)
-        sc = np.where(better, Sg[np.arange(len(rows)), jj], sc)
-        tc = np.where(better, Tg[np.arange(len(rows)), jj], tc)
-        w /= 4.0
-    take = best < out[rows]
-    out[rows] = np.where(take, best, out[rows])
-    s_out[rows] = np.where(take, sc, 0.0)
-    t_out[rows] = np.where(take, tc, 0.0)
+    ball = dual._polygon()
+    if ball is None:
+        raise UnsupportedNormError("a support segment needs a polygonal norm, and so a polygonal dual")
+    # one ray per line through the origin: the ball is origin-symmetric
+    rays = ball.vertices[: len(ball.vertices) // 2]
+    for chunk in np.array_split(rows, -(-rows.size // _D_MINUS_CHUNK)):
+        b1, b2, d1, d2 = pm1[chunk], pm2[chunk], (pp1 - pm1)[chunk], (pp2 - pm2)[chunk]
+        S, T = _d_minus_candidates(b1 - b2, d1, d2, rays)
+        G = np.asarray(dual((b1[:, None] + S[..., None] * d1[:, None]) - (b2[:, None] + T[..., None] * d2[:, None])))
+        j = np.argmin(G, axis=1)
+        k = np.arange(len(chunk))
+        best = G[k, j]
+        take = best < out[chunk]
+        out[chunk] = np.where(take, best, out[chunk])
+        s_out[chunk] = np.where(take, S[k, j], 0.0)
+        t_out[chunk] = np.where(take, T[k, j], 0.0)
     return out, s_out, t_out
+
+
+def _d_minus_candidates(b, d1, d2, rays):
+    """Candidate (s, t) in [0, 1]^2 per row for the minimum of a polygonal
+    gauge over w(s, t) = b + s d1 - t d2: the 4 corners, the crossings of the
+    4 edges with the lines through the origin along rays, and the zero of w.
+    Shapes (k, 5 + 4 len(rays)), corners first, (0, 0) leading. A crossing
+    or zero that does not exist (parallel lines) becomes (0, 0), and one
+    outside the square is clipped into it: both are points of the
+    parallelogram, so they never beat the minimum."""
+    k, m = len(b), len(rays)
+    r = rays[None, :, :]
+
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den != 0.0)
+
+    S, T = [np.tile([0.0, 1.0, 0.0, 1.0], (k, 1))], [np.tile([0.0, 0.0, 1.0, 1.0], (k, 1))]
+    for s0 in (0.0, 1.0):  # edge s = s0: cross(r, b + s0 d1 - t d2) = 0
+        S.append(np.full((k, m), s0))
+        T.append(ratio(cross(r, (b + s0 * d1)[:, None]), cross(r, d2[:, None])))
+    for t0 in (0.0, 1.0):  # edge t = t0: cross(r, b - t0 d2 + s d1) = 0
+        S.append(ratio(-cross(r, (b - t0 * d2)[:, None]), cross(r, d1[:, None])))
+        T.append(np.full((k, m), t0))
+    det = cross(d1, -d2)  # s d1 - t d2 = -b by Cramer's rule
+    S.append(ratio(cross(-b, -d2), det)[:, None])
+    T.append(ratio(cross(d1, -b), det)[:, None])
+    return np.clip(np.concatenate(S, axis=1), 0.0, 1.0), np.clip(np.concatenate(T, axis=1), 0.0, 1.0)
 
 
 def _qn_directions(norm: Norm, X: np.ndarray, cone_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -132,6 +132,10 @@ class Norm:
     def is_smooth(self) -> bool:
         return self.special_angles().size == 0
 
+    def _polygon(self) -> "PolygonNorm | None":
+        """The polygon whose gauge this norm is, or None for a smooth norm."""
+        return None
+
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -208,6 +212,9 @@ class WeightedLpNorm(Norm):
         if self._poly is not None:
             return self._poly.special_angles()
         return np.empty(0, dtype=float)
+
+    def _polygon(self):
+        return self._poly
 
     def to_json_dict(self):
         return {
@@ -289,20 +296,26 @@ class PolygonNorm(Norm):
         smax = np.max(S, axis=-1)
         tie = S >= (smax[:, None] - _TIE_TOL)
         idx = np.argmax(S, axis=-1)
-        Pm = A[idx].copy()
-        Pp = A[idx].copy()
-        for r in np.nonzero(np.sum(tie, axis=-1) > 1)[0]:
-            cols = np.nonzero(tie[r])[0]
-            starts = [c for c in cols if not tie[r][(c - 1) % m]]
-            if len(starts) != 1:
-                continue  # tolerance fattened past a full cycle; keep the argmax facet
-            j = starts[0]
-            Pm[r] = A[j]
-            Pp[r] = A[(j + len(cols) - 1) % m]
-        return Pm, Pp
+        # a run of tied facets spans the support segment, from the run's first
+        # facet to its last; where the ties form no single run (the tolerance
+        # fattened them past a full cycle), the argmax facet stays
+        count = np.sum(tie, axis=-1)
+        multi = np.flatnonzero(count > 1)
+        lo = hi = idx
+        if multi.size:
+            T = tie[multi]
+            starts = T & ~T[:, np.arange(m) - 1]
+            one = np.sum(starts, axis=-1) == 1
+            r, j = multi[one], np.argmax(starts[one], axis=-1)
+            lo, hi = idx.copy(), idx.copy()
+            lo[r], hi[r] = j, (j + count[r] - 1) % m
+        return A[lo], A[hi]
 
     def special_angles(self):
         return np.arctan2(self.vertices[:, 1], self.vertices[:, 0])
+
+    def _polygon(self):
+        return self
 
     def to_json_dict(self):
         return {"kind": "polygon", "vertices": [[float(a), float(b)] for a, b in self.vertices]}

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,16 @@ def test_malformed_arguments_are_usage_errors(argv, tmp_path, capsys):
     argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_python_dash_m_runs_the_cli():
+    import planemoduli
+
+    src = str(Path(planemoduli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "planemoduli", "--version"], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"planemoduli {planemoduli.__version__}"
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -426,9 +426,13 @@ def _check_against_bisection(norm, rows, u):
     return edge
 
 
-RANDOM_POLYGONS = _sample_family("random-polygons", 10, np.random.default_rng(2020))[0]
-CHORD_NORMS = (*standard_norms(), weighted_lp_norm(2.5, 1.3, 0.7), *(norm for _, norm in RANDOM_POLYGONS))
-CHORD_IDS = ("euclidean", "lp1", "lp1.5", "lp3", "lp-inf", "hexagon", "octagon", "weighted", *(label for label, _ in RANDOM_POLYGONS))
+RANDOM_POLYGONS = _sample_family("random-polygons", 50, np.random.default_rng(2020))[0]
+WEIGHTED_CHORD_NORMS = (weighted_lp_norm(2.5, 1.3, 0.7), weighted_lp_norm(1, 1.3, 0.7), weighted_lp_norm("inf", 1.3, 0.7))
+CHORD_NORMS = (*standard_norms(), *WEIGHTED_CHORD_NORMS, *(norm for _, norm in RANDOM_POLYGONS))
+CHORD_IDS = (
+    *("euclidean", "lp1", "lp1.5", "lp3", "lp-inf", "hexagon", "octagon", "weighted", "weighted-lp1", "weighted-lp-inf"),
+    *(label for label, _ in RANDOM_POLYGONS),
+)
 
 
 @pytest.mark.parametrize("norm", CHORD_NORMS, ids=CHORD_IDS)
@@ -455,6 +459,10 @@ def test_chord_solver_matches_bisection(norm, monkeypatch):
         assert len(calls) - 1 <= moduli.CHORD_ITERATIONS + 1, eps
         if norm.kind == "euclidean" and eps == 0.3:
             assert sum(calls[1:]) / len(u) <= 12
+        # a polygonal norm solves its chords in closed form: c(pi), the check
+        # of the solved offsets and the rare polish step, not the ITP loop
+        if norm._polygon() is not None:
+            assert sum(calls) / len(u) <= 3, eps
 
 
 @pytest.mark.parametrize("norm", (SQUARE, HEXAGON), ids=("lp-inf", "hexagon"))
@@ -493,6 +501,50 @@ def test_chord_near_and_far_ends(norm, theta, eps, near, far):
     want = np.array([near, far, near, far])
     assert np.all(np.abs(u - want) <= 2e-11), u - want
     assert np.all(np.where(rows[4], u >= want, u <= want))
+
+
+# -- d-minus over the support segments of polygonal norms ---------------------------
+
+D_MINUS_POLYGONS = _sample_family("random-polygons", 10, np.random.default_rng(31))[0]
+D_MINUS_NORMS = (lp_norm(1), SQUARE, HEXAGON, regular_polygon_norm(8), *(norm for _, norm in D_MINUS_POLYGONS))
+D_MINUS_IDS = ("lp1", "lp-inf", "hexagon", "octagon", *(label for label, _ in D_MINUS_POLYGONS))
+
+
+@pytest.mark.parametrize("norm", D_MINUS_NORMS, ids=D_MINUS_IDS)
+def test_d_minus_is_the_minimum_over_the_segments(norm):
+    # support segments at polygon vertices join two adjacent facet functionals
+    F = norm._polygon()._functionals
+    n = len(F)
+    dual = norm.dual()
+    j1, j2 = np.random.default_rng(5).integers(0, n, (2, 300))
+    pm1, pp1, pm2, pp2 = F[j1], F[(j1 + 1) % n], F[j2], F[(j2 + 1) % n]
+    v, s, t = moduli._d_minus_over_segments(dual, pm1, pp1, pm2, pp2)
+    # the returned (s, t) replays to the returned value
+    assert np.array_equal(np.asarray(dual((pm1 + s[:, None] * (pp1 - pm1)) - (pm2 + t[:, None] * (pp2 - pm2)))), v)
+    assert np.all((0.0 <= s) & (s <= 1.0) & (0.0 <= t) & (t <= 1.0))
+    # against the least value on a 257 x 257 grid of (s, t), once per distinct
+    # segment pair, with the dual gauge as the max of its facet functionals
+    G = dual._polygon()._functionals
+    grid = np.linspace(0.0, 1.0, 257)
+    for a, b in set(zip(j1.tolist(), j2.tolist())):
+        i = np.flatnonzero((j1 == a) & (j2 == b))
+        c0, c1, c2 = (G @ w[i[0]] for w in (pm1 - pm2, pp1 - pm1, pp2 - pm2))
+        on_grid = np.max(c0[:, None, None] + c1[:, None, None] * grid[:, None] - c2[:, None, None] * grid, axis=0)
+        assert np.all(v[i] <= np.min(on_grid) + 1e-15), (a, b)
+
+
+def test_d_minus_is_zero_where_corner_segments_share_a_functional():
+    # on l_inf at eps 2, x1 = (1, 1) and x2 = (1, -1): J(x1) runs from (1, 0)
+    # to (0, 1), J(x2) from (0, -1) to (1, 0), so p1 = p2 = (1, 0) is a pair
+    v, s, t = moduli._d_minus_over_segments(SQUARE.dual(), *np.array([[[1.0, 0.0]], [[0.0, 1.0]], [[0.0, -1.0]], [[1.0, 0.0]]]))
+    assert (v[0], s[0], t[0]) == (0.0, 0.0, 1.0)
+    assert modulus(SQUARE, K("d-minus"), 2.0, **FAST).value == 0.0
+
+
+def test_d_minus_segments_need_a_polygonal_dual():
+    segment = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+    with pytest.raises(UnsupportedNormError):
+        moduli._d_minus_over_segments(EUCLID, *segment, *segment)
 
 
 # -- coarse chord scans shared across the chord kinds of one run -----------------

@@ -187,6 +187,42 @@ def test_support_set_rejects_off_sphere():
         EuclideanNorm().support_set((1.0, 1.0))
 
 
+def _support_by_loop(polygon, X):
+    """The per-row loop that _support_batch's tie handling replaced."""
+    A = polygon._functionals
+    m = len(A)
+    U = X / np.asarray(polygon._eval(X))[..., None]
+    S = U @ A.T
+    tie = S >= (np.max(S, axis=-1)[:, None] - 1e-9)
+    idx = np.argmax(S, axis=-1)
+    Pm, Pp = A[idx].copy(), A[idx].copy()
+    for r in np.nonzero(np.sum(tie, axis=-1) > 1)[0]:
+        cols = np.nonzero(tie[r])[0]
+        starts = [c for c in cols if not tie[r][(c - 1) % m]]
+        if len(starts) != 1:
+            continue
+        j = starts[0]
+        Pm[r] = A[j]
+        Pp[r] = A[(j + len(cols) - 1) % m]
+    return Pm, Pp
+
+
+def test_support_batch_matches_the_tie_loop():
+    from planemoduli.verify import _sample_family
+
+    rng = np.random.default_rng(17)
+    norms = [n for n in family() if n._polygon() is not None]
+    norms += [n for _, n in _sample_family("random-polygons", 24 - len(norms), rng)[0]]
+    assert len(norms) == 24
+    for norm in norms:
+        vertices = norm.special_angles()
+        angles = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 3000), vertices, vertices + 1e-10, vertices - 1e-10])
+        X = norm.sphere_point(angles)
+        got, want = norm._support_batch(X), _support_by_loop(norm._polygon(), X)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), norm
+    assert EuclideanNorm()._polygon() is None and LpNorm(3)._polygon() is None
+
+
 def test_support_pairing_and_dual_norm():
     rng = np.random.default_rng(3)
     for norm in family():
