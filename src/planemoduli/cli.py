@@ -17,7 +17,6 @@ import numpy as np
 from . import __version__
 from .errors import (
     DomainError,
-    InfeasibleError,
     InputError,
     PreconditionError,
     RepresentationError,
@@ -286,7 +285,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, DomainError, PreconditionError, RepresentationError, UnsupportedNormError, InfeasibleError) as exc:
+    except (InputError, DomainError, PreconditionError, RepresentationError, UnsupportedNormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

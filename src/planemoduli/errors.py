@@ -17,9 +17,5 @@ class PreconditionError(ValueError):
     """Geometric precondition violated, e.g. a direction that is not quasi-orthogonal."""
 
 
-class InfeasibleError(RuntimeError):
-    """Empty feasible set in an extremization sub-problem."""
-
-
 class UnsupportedNormError(ValueError):
     """Operation requires a property (smoothness) the given norm lacks."""

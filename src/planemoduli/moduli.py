@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Problem, extremize, extremize_batch
-from .errors import DomainError, InfeasibleError, InputError, UnsupportedNormError
+from .errors import DomainError, InputError, UnsupportedNormError
 from .norms import Norm, norm_key, norm_to_json_dict, perp
 from .triangle import lambda_point_batch
 
@@ -244,7 +244,9 @@ def _chord_offsets_rows(
     """Per row, an arc offset u in [0, pi] with ||S(theta + side*u) - target|| = eps.
 
     target is the sphere point S(theta). Chord length c(u) from a fixed sphere
-    point is nondecreasing along each arc to the antipode. The chord-eps level
+    point is nondecreasing along each arc to the antipode, where it is exactly
+    2 for every origin-symmetric norm: c(pi) is taken as 2, not evaluated, so
+    every eps in [0, 2] has a chord on each arc. The chord-eps level
     set may be a flat arc (polygon facets); rows with is_far False return the
     end nearest the start, rows with is_far True the opposite end (both
     coincide for strictly convex norms). Each row answers for a threshold
@@ -258,10 +260,6 @@ def _chord_offsets_rows(
     each row's result depends on that row alone.
     """
     eps = np.broadcast_to(np.asarray(eps, dtype=float), np.shape(thetas))
-    top = _chord_lengths(norm, thetas, targets, sides, np.full_like(thetas, np.pi))
-    short = top < eps - 1e-9
-    if np.any(short):
-        raise InfeasibleError(f"no chord of length {float(eps[short][0])} from some sphere point")
     # a small band around eps keeps rounding noise on flat stretches from
     # flipping the membership test and collapsing the far edge onto the near one
     band = 1e-11 * np.maximum(1.0, eps)
@@ -270,7 +268,7 @@ def _chord_offsets_rows(
     # a far row, that is when the gap c(u) - thr is at least 0, or at least the
     # least positive float
     floor = np.where(is_far, np.nextafter(0.0, 1.0), 0.0)
-    gap_lo, gap_hi = -thr, top - thr  # c(0) = 0
+    gap_lo, gap_hi = -thr, 2.0 - thr  # c(0) = 0, c(pi) = ||-x - x|| = 2
     # where u = 0 is past, every u is, and where pi is not, none is: those
     # rows get the bracket bisection ends on without evaluating c
     all_past = gap_lo >= floor
@@ -484,20 +482,6 @@ def _partner_angles(norm: Norm, base: np.ndarray, eps_values) -> list[np.ndarray
     return np.split(np.mod(th + sides * u, 2.0 * np.pi), m)
 
 
-def _each_or_error(solve, requests) -> list:
-    """solve(requests), which returns one result per request; when it raises
-    InfeasibleError, each request is solved alone, so that the error goes only
-    to the requests that raise it on their own."""
-    if not requests:
-        return []
-    try:
-        return solve(requests)
-    except InfeasibleError as exc:
-        if len(requests) == 1:
-            return [exc]
-        return [r for req in requests for r in _each_or_error(solve, [req])]
-
-
 class ChordScans:
     """Chord data of one run: coarse chord scans keyed by (norm, eps, grid_n),
     and vertex chord-partner angles keyed by (norm, eps).
@@ -508,9 +492,9 @@ class ChordScans:
     engine's coarse scan: its thetas, sphere points X and partners Zs are kept
     read-only, together with their support endpoints once a kind needs them,
     and a later request reuses the scan only when its theta array is bitwise
-    identical to the kept one. Refine stencils are never kept, and a scan that
-    raises is not kept either. The partner angles of polygon vertices, which
-    every chord kind injects into its coarse scan, are kept the same way.
+    identical to the kept one. Refine stencils are never kept. The partner
+    angles of polygon vertices, which every chord kind injects into its
+    coarse scan, are kept the same way.
     """
 
     def __init__(self):
@@ -521,10 +505,9 @@ class ChordScans:
         return len(self._scans)
 
     def chords(self, norm: Norm, grid_n: int, requests) -> list:
-        """A _ChordScan per (eps, thetas) request, or the InfeasibleError the
-        request raises alone. Requests that match a kept scan reuse it; all
-        others go through one chord solve, in which identical requests (equal
-        eps and thetas) are solved once."""
+        """A _ChordScan per (eps, thetas) request. Requests that match a kept
+        scan reuse it; all others go through one chord solve, in which
+        identical requests (equal eps and thetas) are solved once."""
         nkey = norm_key(norm)
         out = [None] * len(requests)
         groups: dict[tuple, list[int]] = {}
@@ -535,9 +518,9 @@ class ChordScans:
             else:
                 groups.setdefault((eps, th.tobytes()), []).append(i)
         firsts = [requests[ix[0]] for ix in groups.values()]
-        for (eps, _), ix, scan in zip(groups, groups.values(), _each_or_error(lambda r: _chord_scans(norm, r), firsts)):
+        for (eps, _), ix, scan in zip(groups, groups.values(), _chord_scans(norm, firsts) if firsts else []):
             key = (nkey, eps, int(grid_n))
-            if not isinstance(scan, InfeasibleError) and key not in self._scans:
+            if key not in self._scans:
                 self._scans[key] = scan = scan.freeze()
             for i in ix:
                 out[i] = scan
@@ -545,20 +528,18 @@ class ChordScans:
 
     def partner_angles(self, norm: Norm, eps_values) -> list:
         """Per eps, the coarse-scan angles whose chord partner at distance eps
-        lands exactly on a polygon vertex (empty for smooth norms), or the
-        InfeasibleError that eps raises alone. The eps values not kept yet are
-        solved in one call."""
+        lands exactly on a polygon vertex (empty for smooth norms). The eps
+        values not kept yet are solved in one call."""
         nkey = norm_key(norm)
         base = np.mod(norm.special_angles(), 2.0 * np.pi)
         if base.size == 0:
             return [base] * len(eps_values)
         missing = [e for e in dict.fromkeys(eps_values) if (nkey, e) not in self._partners]
-        found = dict(zip(missing, _each_or_error(lambda es: _partner_angles(norm, base, es), missing)))
-        for e, angles in found.items():
-            if not isinstance(angles, InfeasibleError):
+        if missing:
+            for e, angles in zip(missing, _partner_angles(norm, base, missing)):
                 angles.setflags(write=False)
                 self._partners[(nkey, e)] = angles
-        return [found[e] if e in found else self._partners[(nkey, e)] for e in eps_values]
+        return [self._partners[(nkey, e)] for e in eps_values]
 
 
 # -- configuration tables ------------------------------------------------------
@@ -768,30 +749,24 @@ def _values_qn(norm: Norm, points, thetas, cone_samples: int) -> list[np.ndarray
     return np.split(out, np.cumsum(sizes)[:-1])
 
 
-def _objective_1d(norm: Norm, points, dual: Norm | None, cone_samples: int, chords, failed: dict):
+def _objective_1d(norm: Norm, points, dual: Norm | None, cone_samples: int, chords):
     """The lockstep objective of single-angle points (kind, eps): a list of
     (N_i, 1) theta arrays in, one per point, and their value arrays out.
 
-    chords(requests) maps (eps, thetas) requests to chord scans or to the
-    InfeasibleError a request raises alone, as ChordScans.chords does; all
-    chord kinds of a step share one such call, and the lambda and zeta kinds
-    one _values_qn pass. A point whose scan raises is recorded in failed
-    (index -> error) and gets NaN values from then on.
+    chords(requests) maps (eps, thetas) requests to chord scans, as
+    ChordScans.chords does; all chord kinds of a step share one such call,
+    and the lambda and zeta kinds one _values_qn pass.
     """
     chord = [i for i, (kind, _) in enumerate(points) if kind.name not in _QN_KINDS]
     qn = [i for i, (kind, _) in enumerate(points) if kind.name in _QN_KINDS]
 
     def objective(Ps):
         thetas = [P[:, 0] for P in Ps]
-        out = [np.full(len(th), np.nan) for th in thetas]
-        live = [i for i in chord if i not in failed]
-        for i, scan in zip(live, chords([(points[i][1], thetas[i]) for i in live])):
-            if isinstance(scan, InfeasibleError):
-                failed[i] = scan
-            else:
-                kind = points[i][0]
-                values = np.stack([v for v, _ in _chord_table(norm, kind, scan, dual)])
-                out[i] = np.max(values, axis=0) if kind.is_sup() else np.min(values, axis=0)
+        out = [None] * len(thetas)
+        for i, scan in zip(chord, chords([(points[i][1], thetas[i]) for i in chord])):
+            kind = points[i][0]
+            values = np.stack([v for v, _ in _chord_table(norm, kind, scan, dual)])
+            out[i] = np.max(values, axis=0) if kind.is_sup() else np.min(values, axis=0)
         if qn:
             for i, v in zip(qn, _values_qn(norm, [points[i] for i in qn], [thetas[i] for i in qn], cone_samples)):
                 out[i] = v
@@ -886,7 +861,7 @@ def modulus_batch(
     rho and milman points are searched one at a time (see _solve_two_angle).
     Witnesses are built per point, as in modulus. Each entry of the result is
     the CurveSample that modulus returns for that point (equal with ==,
-    witness included) or the DomainError or InfeasibleError that it raises.
+    witness included) or the DomainError that it raises.
     """
     if len(points) == 1:
         # a lone point is a modulus() call, so that per-point profiling (such
@@ -894,7 +869,7 @@ def modulus_batch(
         settings = dict(grid_n=grid_n, refine_rounds=refine_rounds, cone_samples=cone_samples, grid_n_2d=grid_n_2d)
         try:
             return [modulus(norm, *points[0], **settings, chord_scans=chord_scans)]
-        except (DomainError, InfeasibleError) as exc:
+        except DomainError as exc:
             return [exc]
     return _solve(norm, points, grid_n, refine_rounds, cone_samples, grid_n_2d, chord_scans)
 
@@ -945,31 +920,18 @@ def _solve_one_angle(norm: Norm, points, grid_n, refine_rounds, cone_samples, sc
     base = np.mod(norm.special_angles(), two_pi)
     chord_eps = [eps for kind, eps in points if kind.name not in _QN_KINDS]
     partners = dict(zip(chord_eps, scans.partner_angles(norm, chord_eps)))
-    failed: dict = {}
     problems = []
-    for j, (kind, eps) in enumerate(points):
+    for kind, eps in points:
         # polygon vertices, and for the chord kinds the angles whose chord
         # partner is a vertex, are injected into the coarse scan
-        extra = base
-        if kind.name not in _QN_KINDS:
-            if isinstance(partners[eps], InfeasibleError):
-                failed[j] = partners[eps]
-            else:
-                extra = np.concatenate([base, partners[eps]])
+        extra = base if kind.name in _QN_KINDS else np.concatenate([base, partners[eps]])
         problems.append(Problem([(0.0, two_pi)], _mode(kind), extra[:, None] if extra.size else None))
     dual = norm.dual() if any(kind.name.startswith("d-") for kind, _ in points) else None
-    objective = _objective_1d(norm, points, dual, cone_samples, lambda r: scans.chords(norm, grid_n, r), failed)
+    objective = _objective_1d(norm, points, dual, cone_samples, lambda r: scans.chords(norm, grid_n, r))
     results = _extremize_all(objective, problems, grid_n=grid_n, refine_rounds=refine_rounds)
     out = []
-    for j, ((kind, eps), res) in enumerate(zip(points, results)):
-        if j in failed:
-            out.append(failed[j])
-            continue
-        try:
-            witness = _describe_theta(norm, kind, eps, float(res.point[0]), dual, cone_samples)
-        except InfeasibleError as exc:
-            out.append(exc)
-            continue
+    for (kind, eps), res in zip(points, results):
+        witness = _describe_theta(norm, kind, eps, float(res.point[0]), dual, cone_samples)
         out.append(CurveSample(eps, float(res.value), int(grid_n), max(float(res.tol), 1e-12), witness))
     return out
 

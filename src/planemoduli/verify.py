@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__ as _TOOL_VERSION
-from .errors import DomainError, InfeasibleError, InputError, RepresentationError
+from .errors import DomainError, InputError, RepresentationError
 from .moduli import (
     ChordScans,
     CurveSample,
@@ -111,8 +111,8 @@ class ModulusCache:
     for every chord kind and eps, and one quasi-normal pass for the lambda and
     zeta kinds. The cache also holds the coarse chord scans of its run
     (ChordScans), so the chord kinds at one (norm, eps) solve the coarse grid
-    once between them, across batches too. A point that raises DomainError or
-    InfeasibleError is remembered with its error, which sample raises again.
+    once between them, across batches too. A point that raises DomainError is
+    remembered with its error, which sample raises again.
     One cache serves one run and is dropped with it.
     """
 
@@ -220,7 +220,7 @@ def _eval_relations(norm, label, labelled_relations, cache):
     for eps, relation in labelled_relations:
         try:
             margin, sigma, samples = _eval_relation(norm, relation, cache)
-        except (DomainError, InfeasibleError) as exc:
+        except DomainError as exc:
             skips.append({"norm": label, "eps": float(eps), "reason": str(exc)})
             continue
         points.append(_Point(label, norm, float(eps), margin, sigma, relation, samples))

@@ -94,6 +94,15 @@ def test_compute_square_lambda_minus_is_zero(capsys):
     assert rows[0]["value"] == 0.0
 
 
+def test_compute_reaches_the_diameter_on_a_sharp_norm(capsys):
+    # the evaluated chord to the antipode rounds below 2 on this norm; eps = 2
+    # still has a chord from every sphere point
+    code = main(["compute", "--norm", "weighted-lp:1:10000:0.0001", "--modulus", "delta", "--eps", "0:2:1"])
+    assert code == 0
+    rows = parse_curve_csv(capsys.readouterr().out)
+    assert [r["eps"] for r in rows] == [0.0, 1.0, 2.0]
+
+
 def test_compute_json_format_with_reference(capsys):
     code = main(
         ["compute", "--norm", "euclidean", "--modulus", "delta-t:0.25", "--eps", "1", "--format", "json",

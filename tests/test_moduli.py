@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from planemoduli import (
     DomainError,
-    InfeasibleError,
     InputError,
     ModulusKind,
     Norm,
@@ -26,6 +25,7 @@ from planemoduli import (
     modulus,
     modulus_curve,
     parse_curve_csv,
+    polygon_norm,
     reevaluate_witness,
     regular_polygon_norm,
     rows_to_csv,
@@ -33,7 +33,7 @@ from planemoduli import (
 )
 from planemoduli import moduli
 from planemoduli import modulus_batch
-from planemoduli.moduli import KIND_NAMES, ChordScans, _chord_points, _objective_1d, _objective_2d
+from planemoduli.moduli import KIND_NAMES, ChordScans, CurveSample, _objective_1d, _objective_2d
 from planemoduli.verify import ModulusCache, SuiteSettings, _sample_family, _sample_polygon, standard_norms
 
 EUCLID = euclidean_norm()
@@ -291,7 +291,7 @@ def _angle_halves(norm, d):
 def _objective_1(norm, points):
     """The lockstep objective that modulus_batch builds for single-angle
     points, with a fresh chord store on every call."""
-    return _objective_1d(norm, points, norm.dual(), 9, lambda requests: ChordScans().chords(norm, 64, requests), {})
+    return _objective_1d(norm, points, norm.dual(), 9, lambda requests: ChordScans().chords(norm, 64, requests))
 
 
 @pytest.mark.parametrize("token", ALL_TOKENS)
@@ -455,21 +455,21 @@ def test_chord_solver_matches_bisection(norm, monkeypatch):
         # a row's steps depend on that row alone, also when it is solved alone
         for i in range(0, len(u), 23):
             assert moduli._chord_offsets_rows(norm, *(a[i : i + 1] for a in rows))[0] == u[i], (eps, i)
-        # the first call is c(pi); each later one evaluates the rows still open
-        assert len(calls) - 1 <= moduli.CHORD_ITERATIONS + 1, eps
+        # c(pi) = 2 is not evaluated; each call evaluates the rows still open
+        assert len(calls) <= moduli.CHORD_ITERATIONS + 1, eps
         if norm.kind == "euclidean" and eps == 0.3:
-            assert sum(calls[1:]) / len(u) <= 12
-        # a polygonal norm solves its chords in closed form: c(pi), the check
-        # of the solved offsets and the rare polish step, not the ITP loop
+            assert sum(calls) / len(u) <= 12
+        # a polygonal norm solves its chords in closed form: the check of the
+        # solved offsets and the rare polish step, not the ITP loop
         if norm._polygon() is not None:
-            assert sum(calls) / len(u) <= 3, eps
+            assert sum(calls) / len(u) <= 1.5, eps
 
 
 @pytest.mark.parametrize("norm", (SQUARE, HEXAGON), ids=("lp-inf", "hexagon"))
 def test_chord_solver_at_the_domain_edges(norm):
     # eps = 0: no near row has a crossing; eps = 2: no far row has one;
-    # eps = 2 + 5e-10: feasible within the 1e-9 slack, but no row reaches the
-    # near threshold. None may divide by zero or otherwise warn.
+    # eps = 2 + 5e-10, just past the diameter: no row reaches the near
+    # threshold. None may divide by zero or otherwise warn.
     thetas = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False) + 0.01, norm.special_angles()])
     for eps, no_crossing in ((0.0, "near"), (2.0, "far"), (2.0 + 5e-10, "near")):
         rows = _branch_rows(norm, thetas, eps)
@@ -638,15 +638,29 @@ def test_chord_scans_are_read_only_and_keyed_on_exact_eps():
     assert a is b and len(scans) == 3
 
 
-def test_infeasible_chord_scan_is_not_kept():
+# norms whose sharp vertices round the evaluated chord to the antipode below 2
+SHARP_NORMS = (
+    weighted_lp_norm(1, 1e4, 1e-4),
+    weighted_lp_norm("inf", 1e4, 1e-4),
+    weighted_lp_norm(1.5, 1e6, 1e-6),
+    polygon_norm([[1e5, 1e-5], [-1e5, 1e-5], [-1e5, -1e-5], [1e5, -1e-5]]),
+)
+
+
+@pytest.mark.parametrize("norm", SHARP_NORMS, ids=("weighted-lp1", "weighted-lp-inf", "weighted-lp1.5", "thin-rectangle"))
+def test_every_chord_kind_has_a_value_at_the_diameter(norm):
+    # the chord to the antipode has length exactly 2, so eps = 2 has a chord
+    # from every sphere point, however c(pi) rounds when evaluated
+    batch = modulus_batch(norm, [(K(token), 2.0) for token in CHORD_TOKENS], **BATCH_SETTINGS)
+    for token, sample in zip(CHORD_TOKENS, batch):
+        assert isinstance(sample, CurveSample), (token, sample)
+        assert math.isfinite(sample.value) and sample.witness["value"] == sample.value, token
+    assert modulus(norm, K("delta"), 2.0, **BATCH_SETTINGS) == batch[0]
     scans = ChordScans()
     thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    with pytest.raises(InfeasibleError) as alone:
-        _chord_points(HEXAGON, thetas, 2.5)
-    ok, err = scans.chords(HEXAGON, 64, [(0.7, thetas), (2.5, thetas)])
-    assert isinstance(err, InfeasibleError) and str(err) == str(alone.value)
-    assert np.array_equal(ok.X, _chord_points(HEXAGON, thetas, 0.7)[0])
-    assert len(scans) == 1
+    (scan,) = scans.chords(norm, 64, [(2.0, thetas)])
+    assert len(scans) == 1 and scans.chords(norm, 64, [(2.0, thetas.copy())])[0] is scan
+    assert scans.chords(norm, 64, []) == [] and scans.partner_angles(norm, []) == []
 
 
 # -- witnesses --------------------------------------------------------------------
