@@ -13,12 +13,14 @@ bounds, mode and extra_points.
 
 Stacking rows from several cells (and several problems) is bit-identical to
 evaluating them apart only if the objective computes each row on its own: a
-row's value may not depend on the other rows of a batch of two or more rows.
-No randomness anywhere, so identical inputs give identical results.
+row's value may not depend on the other rows of its batch. No randomness
+anywhere, so identical inputs give identical results. ``bracketed_roots`` is
+the package's one iterative root-finder, for the chords and for lambda.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["ExtremizeResult", "Problem", "extremize", "extremize_batch"]
+__all__ = ["ExtremizeResult", "Problem", "bracketed_roots", "extremize", "extremize_batch"]
 
 
 @dataclass
@@ -147,7 +149,7 @@ def extremize(
 
     The best keep_cells coarse cells are refined in lockstep, one objective
     call per round on all their stencils. The objective must therefore be
-    row-independent on batches of two or more rows.
+    row-independent.
     """
     search = _search(bounds, mode, grid_n, refine_rounds, keep_cells, extra_points)
     points = next(search)
@@ -187,3 +189,53 @@ def extremize_batch(
             except StopIteration as done:
                 results.append(done.value)
     return results
+
+
+def bracketed_roots(f, lo: float, hi: float, glo, ghi, floor, halvings: int, *args):
+    """Per row, the final bracket (lo, hi) of the one crossing of f, which is
+    below floor (a scalar or one value per row) before it and not after, from
+    [lo, hi] and the rows' arrays glo = f(lo), ghi = f(hi). f(x, *args) sees
+    the rows still open, args cut to them; f(x) >= floor moves the upper end,
+    else the lower. Steps are ITP's (Oliveira & Takahashi, ACM TOMS 47(1),
+    2020): regula falsi, truncated toward the midpoint by max(0.2 / (hi - lo)
+    * width**2, tol) and projected into the radius that keeps bisection's
+    schedule plus one slack step. A row stops at width <= 2 * tol, the width
+    `halvings` halvings of [lo, hi] leave, after at most halvings + 1 calls."""
+    glo = np.array(glo, dtype=float)
+    n = len(glo)
+    ghi = np.array(ghi, dtype=float)
+    floor = np.broadcast_to(floor, n)
+    tol = math.ldexp(hi - lo, -halvings - 1)
+    k1 = 0.2 / (hi - lo)
+    out_lo, out_hi = np.empty(n), np.empty(n)
+    rows = np.arange(n)
+    a, b = np.full(n, float(lo)), np.full(n, float(hi))
+    width = b - a
+    for j in range(halvings + 1):
+        if not len(rows):
+            break
+        half = 0.5 * width
+        mid = a + half
+        # regula falsi, as an offset from the midpoint (a zero or non-finite
+        # denominator falls back to the midpoint), truncated and projected
+        den = glo - ghi
+        t = np.divide(glo, den, out=np.full_like(den, 0.5), where=np.isfinite(den) & (den != 0.0))
+        offset = (t - 0.5) * width
+        step = np.maximum(k1 * width * width, tol)
+        radius = math.ldexp(tol, halvings + 1 - j) - half
+        x = mid + np.copysign(np.maximum(np.minimum(np.abs(offset) - step, radius), 0.0), offset)
+        fx = f(x, *args)
+        moved = fx >= floor
+        np.copyto(b, x, where=moved)
+        np.copyto(ghi, fx, where=moved)
+        np.copyto(a, x, where=~moved)
+        np.copyto(glo, fx, where=~moved)
+        width = b - a
+        done = width <= 2.0 * tol
+        if done.any():
+            out_lo[rows[done]], out_hi[rows[done]] = a[done], b[done]
+            keep = ~done
+            rows, a, b, glo, ghi, floor, width = (v[keep] for v in (rows, a, b, glo, ghi, floor, width))
+            args = tuple(v[keep] for v in args)
+    out_lo[rows], out_hi[rows] = a, b
+    return out_lo, out_hi

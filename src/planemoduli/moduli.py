@@ -22,6 +22,8 @@ chord partner is a vertex) injected into the coarse scan so non-smooth
 extremal configurations are hit exactly. ``modulus_batch`` solves the
 single-angle points of one norm in lockstep, one objective call per engine
 step for all of them, with the same results as one ``modulus`` call per point.
+The chords ||x - z|| = eps and lambda are solved per row by the engine's
+bracketed_roots, and the chords on polygonal norms in closed form.
 
 A single-angle kind is an extreme over concrete configurations at the angle
 of x: a chord x, z on one of four branches (arc side, near or far end of the
@@ -31,9 +33,9 @@ _qn_table) lists them once, each as a value array over the angles of a scan
 plus its named fields (x, z, p, x1, x2, p1, p2, side, edge, s, t_seg, y,
 y_sign). The objective reduces the values with max or min, the witness is the
 first extremal configuration of the table on the one-row scan at the winning
-angle, and reevaluate_witness applies the same value expression
-(_config_value) to the stored fields, as the rho and milman objective does to
-its sphere points.
+angle (a row has the same bits alone as in a batch, so its value is the
+sample value), and reevaluate_witness applies the same value expression
+(_config_value) to the stored fields, as the rho and milman objective does.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Problem, extremize, extremize_batch
+from .engine import Problem, bracketed_roots, extremize, extremize_batch
 from .errors import DomainError, InputError, UnsupportedNormError
 from .norms import Norm, norm_key, norm_to_json_dict, perp
 from .triangle import lambda_point_batch
@@ -96,14 +98,6 @@ _SUP_KINDS = frozenset(
 )
 
 CHORD_ITERATIONS = 46
-# The chord solver's target: a bracket no wider than pi * 2**-CHORD_ITERATIONS,
-# the width CHORD_ITERATIONS halvings of [0, pi] reach. _CHORD_HALF_WIDTH is
-# its half, ITP's epsilon. The truncation step is _ITP_K1 * width**2, with the
-# constants Oliveira & Takahashi recommend (0.2 / initial width, exponent 2),
-# and _ITP_N0 = 1 slack step caps each row at CHORD_ITERATIONS + 1 evaluations.
-_CHORD_HALF_WIDTH = math.ldexp(math.pi, -CHORD_ITERATIONS - 1)
-_ITP_K1 = 0.2 / math.pi
-_ITP_N0 = 1
 _ENGINE_LAMBDA_TOL = 1e-7
 
 
@@ -216,11 +210,7 @@ def hilbert_reference(kind: ModulusKind, eps: float) -> float:
 
 
 def _chord_lengths(norm: Norm, thetas: np.ndarray, targets: np.ndarray, sides: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """||S(theta + side*u) - target|| per row. A lone row is evaluated as two
-    copies: a one-row product (PolygonNorm._eval's a @ F.T) rounds differently
-    from a many-row one, and a row's chord must not depend on its company."""
-    if len(u) == 1:
-        return _chord_lengths(norm, *(np.repeat(a, 2, axis=0) for a in (thetas, targets, sides, u)))[:1]
+    """||S(theta + side*u) - target|| per row."""
     return np.asarray(norm(norm.sphere_point(thetas + sides * u) - targets))
 
 
@@ -255,9 +245,10 @@ def _chord_offsets_rows(
     u, which comes no later. A row with no crossing in (0, pi) gets the end
     CHORD_ITERATIONS halvings of [0, pi] converge to. On a polygonal norm the
     crossing is solved in closed form (_polygon_offsets); on a smooth one by
-    ITP steps (_itp_offsets). side, edge and eps (a scalar or one value per
-    row) vary per row so that all branches and chord lengths share one solve;
-    each row's result depends on that row alone.
+    engine.bracketed_roots, to the width of CHORD_ITERATIONS halvings. side,
+    edge and eps (a scalar or one value per row) vary per row so that all
+    branches and chord lengths share one solve; each row's result depends on
+    that row alone.
     """
     eps = np.broadcast_to(np.asarray(eps, dtype=float), np.shape(thetas))
     # a small band around eps keeps rounding noise on flat stretches from
@@ -275,59 +266,14 @@ def _chord_offsets_rows(
     u = np.where(all_past, np.where(is_far, *_ALL_PAST), np.where(is_far, *_NONE_PAST))
     rows = np.flatnonzero(~all_past & (gap_hi >= floor))
     if rows.size:
-        sel = [a[rows] for a in (thetas, targets, sides, is_far, thr, floor)]
+        th, target, side, far, thr_r, floor_r = (a[rows] for a in (thetas, targets, sides, is_far, thr, floor))
         polygon = norm._polygon()
         if polygon is None:
-            u[rows] = _itp_offsets(norm, *sel, gap_lo[rows], gap_hi[rows])
+            gap = lambda x, th, target, side, thr: _chord_lengths(norm, th, target, side, x) - thr  # noqa: E731
+            lo, hi = bracketed_roots(gap, 0.0, math.pi, gap_lo[rows], gap_hi[rows], floor_r, CHORD_ITERATIONS, th, target, side, thr_r)
+            u[rows] = np.where(far, lo, hi)
         else:
-            u[rows] = _polygon_offsets(norm, polygon, *sel)
-    return u
-
-
-def _itp_offsets(norm: Norm, th, target, side, far, thr, floor, glo, ghi) -> np.ndarray:
-    """The crossing rows of _chord_offsets_rows on a smooth norm. Each keeps
-    a bracket [lo, hi]: c(lo) < thr <= c(hi) on a near row, which returns hi,
-    and c(lo) <= thr < c(hi) on a far row, which returns lo. The bracket
-    shrinks by ITP steps (Oliveira & Takahashi, ACM TOMS 47(1), 2020): a
-    regula falsi estimate, truncated toward the midpoint and projected into
-    the ball around it that keeps bisection's worst case. A row stops once
-    its bracket is no wider than CHORD_ITERATIONS halvings of [0, pi] would
-    leave it, after at most CHORD_ITERATIONS + 1 chord evaluations, and fewer
-    where c is smooth at the crossing."""
-    u = np.empty(len(th))
-    rows = np.arange(len(th))
-    lo, hi = np.zeros(len(th)), np.full(len(th), np.pi)
-    width = hi - lo
-    for j in range(CHORD_ITERATIONS + _ITP_N0):
-        if not len(rows):
-            break
-        half = 0.5 * width
-        mid = lo + half
-        # regula falsi, as an offset from the midpoint (a zero or non-finite
-        # denominator falls back to the midpoint), truncated toward the
-        # midpoint by step and projected into the radius around it that keeps
-        # the bracket within bisection's schedule plus _ITP_N0 steps
-        den = glo - ghi
-        t = np.divide(glo, den, out=np.full_like(den, 0.5), where=np.isfinite(den) & (den != 0.0))
-        offset = (t - 0.5) * width
-        step = np.maximum(_ITP_K1 * width * width, _CHORD_HALF_WIDTH)
-        radius = math.ldexp(_CHORD_HALF_WIDTH, CHORD_ITERATIONS + _ITP_N0 - j) - half
-        x = mid + np.copysign(np.maximum(np.minimum(np.abs(offset) - step, radius), 0.0), offset)
-        gap = _chord_lengths(norm, th, target, side, x) - thr
-        moved = gap >= floor
-        np.copyto(hi, x, where=moved)
-        np.copyto(ghi, gap, where=moved)
-        np.copyto(lo, x, where=~moved)
-        np.copyto(glo, gap, where=~moved)
-        width = hi - lo
-        done = width <= 2.0 * _CHORD_HALF_WIDTH
-        if done.any():
-            u[rows[done]] = np.where(far[done], lo[done], hi[done])
-            keep = ~done
-            rows, th, side, target, far, thr, floor, lo, hi, glo, ghi, width = (
-                a[keep] for a in (rows, th, side, target, far, thr, floor, lo, hi, glo, ghi, width)
-            )
-    u[rows] = np.where(far, lo, hi)
+            u[rows] = _polygon_offsets(norm, polygon, th, target, side, far, thr_r, floor_r)
     return u
 
 
@@ -721,7 +667,7 @@ def _qn_table(norm: Norm, points, thetas, cone_samples: int) -> tuple[np.ndarray
     """The quasi-normal configurations (x, y) of the lambda and zeta points
     (kind, eps) on their theta arrays, both orientations of each direction:
     the scan row each belongs to, their values and their fields. One sphere
-    and quasi-normal pass for all points, then one lambda bisection and one
+    and quasi-normal pass for all points, then one lambda solve and one
     norm evaluation, each with one eps per row."""
     sizes = [len(th) for th in thetas]
     per_row = lambda values: np.repeat(values, sizes)  # noqa: E731

@@ -282,8 +282,11 @@ class PolygonNorm(Norm):
         self._functionals = N / c[:, None]
 
     def _eval(self, a):
-        scores = a @ self._functionals.T
-        return np.max(scores, axis=-1)
+        # a one-row a @ F.T rounds differently from a many-row one: a lone
+        # point is evaluated as two copies, to get the bits it gets in a batch
+        if a.size == 2:
+            return np.max(np.repeat(a.reshape(1, 2), 2, axis=0) @ self._functionals.T, axis=-1)[0].reshape(a.shape[:-1])
+        return np.max(a @ self._functionals.T, axis=-1)
 
     def dual(self):
         return PolygonNorm(self._functionals)

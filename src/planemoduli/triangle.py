@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import bracketed_roots
 from .errors import DomainError, InputError, PreconditionError
 from .norms import Norm, SupportSet, norm_to_json_dict, perp
 
@@ -118,9 +119,10 @@ def lambda_point_batch(norm: Norm, X: np.ndarray, Y: np.ndarray, eps, tol: float
     """Smallest lambda >= 0 with ||x + eps*y - lambda*x|| = 1, per row.
 
     X, Y are (n, 2) arrays of unit vectors with Y quasi-orthogonal to X
-    rowwise; eps is a scalar or an (n,) array in [0, 1]. Uses bisection on
-    [0, 1] with the bracket invariant g(lo) > 0 >= g(hi); rows that start
-    inside the ball (g(0) <= tol) return 0 exactly.
+    rowwise; eps is a scalar or an (n,) array in [0, 1]. Rows with g(0) <= tol
+    return 0. The others solve f = 1 - ||x + eps*y - lambda*x|| = 0 on [0, 1]
+    by engine.bracketed_roots, f(1) = 1 - eps taken, not evaluated, and return
+    hi of a bracket g(lo) > 0 >= g(hi) as narrow as LAMBDA_ITERATIONS halvings.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -129,20 +131,16 @@ def lambda_point_batch(norm: Norm, X: np.ndarray, Y: np.ndarray, eps, tol: float
         raise DomainError("eps must lie in [0, 1]")
     y1 = X + e[..., None] * Y
     g0 = np.asarray(norm(y1)) - 1.0
-    worst = float(np.min(g0))
+    worst = float(np.min(g0, initial=0.0))
     if worst < -tol:
         raise PreconditionError(
             f"||x + eps*y|| = {1.0 + worst:.12g} < 1: y is not quasi-orthogonal to x"
         )
-    at_zero = g0 <= tol
-    lo = np.zeros(X.shape[:-1])
-    hi = np.ones(X.shape[:-1])
-    for _ in range(LAMBDA_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        pos = (np.asarray(norm(y1 - mid[..., None] * X)) - 1.0) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    return np.where(at_zero, 0.0, hi)
+    lam = np.zeros(X.shape[:-1])
+    rows = np.flatnonzero(g0 > tol)
+    f = lambda t, y1, x: 1.0 - np.asarray(norm(y1 - t[:, None] * x))  # noqa: E731
+    _, lam[rows] = bracketed_roots(f, 0.0, 1.0, -g0[rows], 1.0 - e[rows], 0.0, LAMBDA_ITERATIONS, y1[rows], X[rows])
+    return lam
 
 
 def lambda_point(norm: Norm, x, y, eps: float, tol: float = 1e-9) -> float:

@@ -266,7 +266,7 @@ def test_plus_minus_ordering_spot_checks():
 # extremize refines all kept cells in one objective call, and extremize_batch
 # hands the rows of several points to one objective call; both give the same
 # values as one call per cell and per point only if every row is computed on
-# its own (for batches of two or more rows)
+# its own, a lone row included
 
 
 ROW_NORMS = (LP3, HEXAGON, _sample_polygon(np.random.default_rng(20160906)))
@@ -305,6 +305,9 @@ def test_objectives_are_row_independent(token):
         else:
             solo = lambda P, point=(kind, 0.6): _objective_1(norm, [point])([P])[0]  # noqa: E731
         assert np.array_equal(solo(np.concatenate([A, B])), np.concatenate([solo(A), solo(B)])), norm
+        for P in (A, B):
+            batch = solo(P)
+            assert all(solo(P[i : i + 1])[0] == batch[i] for i in range(len(P))), norm
         if two_angle:
             continue  # rho and milman points are searched one at a time
         # a multi-point batch, split into its per-point slices as the lockstep
@@ -709,16 +712,13 @@ WITNESS_NORMS = {
 @pytest.mark.parametrize("name", WITNESS_NORMS)
 def test_witness_value_is_the_sample_value(name):
     # the witness is the extremal configuration of the kind's table, valued by
-    # the expression that valued the sample: equal bit for bit on smooth norms;
-    # on polygons the witness's one-row scan rounds differently (a one-row
-    # a @ F.T), so there the two agree to 1e-9
+    # the expression that valued the sample: equal bit for bit
     norm = WITNESS_NORMS[name]
-    polygon = norm.kind == "polygon"
     off = []
     for token in ALL_TOKENS:
         sample = modulus(norm, K(token), 0.6, grid_n=128, refine_rounds=3, cone_samples=9, grid_n_2d=64)
         got = sample.witness["value"]
-        if (abs(got - sample.value) > 1e-9) if polygon else (got != sample.value):
+        if got != sample.value:
             off.append((token, sample.value, got))
     assert off == []
 

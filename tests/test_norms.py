@@ -207,20 +207,39 @@ def _support_by_loop(polygon, X):
     return Pm, Pp
 
 
-def test_support_batch_matches_the_tie_loop():
+def _polygonal_norms(rng):
+    """The polygonal norms of family(), topped up to 24 with random polygons."""
     from planemoduli.verify import _sample_family
 
-    rng = np.random.default_rng(17)
     norms = [n for n in family() if n._polygon() is not None]
     norms += [n for _, n in _sample_family("random-polygons", 24 - len(norms), rng)[0]]
     assert len(norms) == 24
-    for norm in norms:
+    return norms
+
+
+def test_support_batch_matches_the_tie_loop():
+    rng = np.random.default_rng(17)
+    for norm in _polygonal_norms(rng):
         vertices = norm.special_angles()
         angles = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 3000), vertices, vertices + 1e-10, vertices - 1e-10])
         X = norm.sphere_point(angles)
         got, want = norm._support_batch(X), _support_by_loop(norm._polygon(), X)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), norm
     assert EuclideanNorm()._polygon() is None and LpNorm(3)._polygon() is None
+
+
+def test_lone_point_evaluates_as_in_a_batch():
+    # a one-row matrix product rounds differently from a many-row one; a lone
+    # point must still get the bits its row gets in a batch
+    rng = np.random.default_rng(17)
+    for norm in _polygonal_norms(rng):
+        angles = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 40), norm.special_angles()])
+        P = rng.uniform(-3.0, 3.0, (40, 2))
+        values, S = norm(P), norm.sphere_point(angles)
+        for i, p in enumerate(P):
+            assert norm(p) == values[i] and norm(p[None, :])[0] == values[i], (norm, i)
+        for i, theta in enumerate(angles):
+            assert np.array_equal(norm.sphere_point(float(theta)), S[i]), (norm, i)
 
 
 def test_support_pairing_and_dual_norm():

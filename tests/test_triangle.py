@@ -9,9 +9,12 @@ from planemoduli import (
     DomainError,
     EuclideanNorm,
     LpNorm,
+    Norm,
     PreconditionError,
     regular_polygon_norm,
+    weighted_lp_norm,
 )
+from planemoduli import moduli, triangle
 from planemoduli.triangle import (
     build_figure,
     is_quasi_orthogonal,
@@ -20,6 +23,7 @@ from planemoduli.triangle import (
     projection_bound_margin,
     quasi_normal_cone,
 )
+from planemoduli.verify import _sample_family, standard_norms
 
 EUCLID = EuclideanNorm()
 LINF = LpNorm("inf")
@@ -136,6 +140,76 @@ def test_lambda_point_rejects():
         lambda_point_batch(EUCLID, np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]]), 0.5)
 
 
+def test_lambda_point_batch_empty():
+    lam = lambda_point_batch(EUCLID, np.empty((0, 2)), np.empty((0, 2)), 0.5)
+    assert lam.shape == (0,)
+
+
+# -- the lambda solver against the bisection it replaced ----------------------------
+
+
+def _bisect_lambda(norm, X, Y, eps, tol=1e-9):
+    """Reference: LAMBDA_ITERATIONS halvings of [0, 1] on every row, with the
+    bracket invariant g(lo) > 0 >= g(hi); rows with g(0) <= tol give 0."""
+    y1 = X + np.broadcast_to(eps, len(X))[:, None] * Y
+    at_zero = np.asarray(norm(y1)) - 1.0 <= tol
+    lo, hi = np.zeros(len(X)), np.ones(len(X))
+    for _ in range(triangle.LAMBDA_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        pos = (np.asarray(norm(y1 - mid[:, None] * X)) - 1.0) > 0.0
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+    return np.where(at_zero, 0.0, hi)
+
+
+RANDOM_POLYGONS = _sample_family("random-polygons", 10, np.random.default_rng(2020))[0]
+LAMBDA_NORMS = (
+    *standard_norms(),
+    weighted_lp_norm(2.5, 1.3, 0.7),
+    weighted_lp_norm(1, 1.3, 0.7),
+    weighted_lp_norm("inf", 1.3, 0.7),
+    *(norm for _, norm in RANDOM_POLYGONS),
+)
+LAMBDA_IDS = (
+    *("euclidean", "lp1", "lp1.5", "lp3", "lp-inf", "hexagon", "octagon", "weighted", "weighted-lp1", "weighted-lp-inf"),
+    *(label for label, _ in RANDOM_POLYGONS),
+)
+
+
+@pytest.mark.parametrize("norm", LAMBDA_NORMS, ids=LAMBDA_IDS)
+def test_lambda_solver_matches_bisection(norm, monkeypatch):
+    thetas = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False) + 0.01, norm.special_angles()])
+    _, Xc, Yc = moduli._qn_directions(norm, norm.sphere_point(thetas), 9)
+    X, Y = np.concatenate([Xc, Xc]), np.concatenate([Yc, -Yc])
+    calls = []
+    call = Norm.__call__
+
+    def counted(self, v):
+        calls.append(len(v))
+        return call(self, v)
+
+    g = lambda lam, y1: np.abs(np.asarray(norm(y1 - lam[:, None] * X)) - 1.0)  # noqa: E731
+    for eps in (1e-6, 0.3, 0.7, 0.999999, 1.0):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Norm, "__call__", counted)
+            lam = lambda_point_batch(norm, X, Y, eps)
+        ref = _bisect_lambda(norm, X, Y, eps)
+        assert np.all((lam >= 0.0) & (lam <= 1.0)), eps
+        # within the bisection's final bracket, or, where g is flat at the
+        # rounding level (near eps = 1), at a residual no larger than its own
+        y1 = X + eps * Y
+        close = np.abs(lam - ref) <= 2.0**-47
+        assert np.all(close | (g(lam, y1) <= g(ref, y1) + 4 * np.spacing(1.0))), eps
+        # a row's steps depend on that row alone, also when it is solved alone
+        for i in range(0, len(X), 17):
+            assert lambda_point_batch(norm, X[i : i + 1], Y[i : i + 1], eps)[0] == lam[i], (eps, i)
+        # g(1) = eps - 1 is not evaluated; one call for g(0), then the open rows
+        assert len(calls) <= triangle.LAMBDA_ITERATIONS + 2, eps
+        if norm.kind == "euclidean" and eps == 0.3:
+            assert sum(calls) / len(X) <= 12
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.floats(min_value=0.0, max_value=2 * math.pi), st.floats(min_value=0.0, max_value=1.0))
 def test_lambda_in_range_euclidean(theta, eps):
@@ -192,7 +266,7 @@ def test_lambda_convexity_in_eps():
 def test_build_figure_euclidean_eps_one():
     fig = build_figure(EUCLID, (1.0, 0.0), (0.0, 1.0), 1.0)
     assert np.allclose(fig.y1, [1.0, 1.0], atol=1e-12)
-    # the root is tangential at eps=1, so bisection resolves it to ~sqrt(ulp)
+    # the root is tangential at eps=1, so the solver resolves it to ~sqrt(ulp)
     assert fig.lam == pytest.approx(1.0, abs=1e-7)
     assert np.allclose(fig.z, [0.0, 1.0], atol=1e-7)
     assert np.allclose(fig.d, [1 / math.sqrt(2)] * 2, atol=1e-12)
