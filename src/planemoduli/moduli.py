@@ -26,8 +26,10 @@ The chords ||x - z|| = eps and lambda are solved per row by the engine's
 bracketed_roots, and the chords on polygonal norms in closed form.
 
 A single-angle kind is an extreme over concrete configurations at the angle
-of x: a chord x, z on one of four branches (arc side, near or far end of the
-level set), with supporting functionals p in J(x) or p1 in J(x1), p2 in J(x2);
+of x: a chord x, z on one of the norm's chord branches (arc side, near or far
+end of the level set: four on a polygonal norm, and two, the near end of
+each side, on a strictly convex one, whose level set on a side is a single
+point), with supporting functionals p in J(x) or p1 in J(x1), p2 in J(x2);
 or a quasi-normal pair (x, y). The kind's configuration table (_chord_table,
 _qn_table) lists them once, each as a value array over the angles of a scan
 plus its named fields (x, z, p, x1, x2, p1, p2, side, edge, s, t_seg, y,
@@ -240,20 +242,24 @@ def _chord_offsets_rows(
     set may be a flat arc (polygon facets); rows with is_far False return the
     end nearest the start, rows with is_far True the opposite end (both
     coincide for strictly convex norms). Each row answers for a threshold
-    just inside the level set: c(u) >= eps - band at a near row's u, which
-    comes no earlier than the crossing, and c(u) <= eps + band at a far row's
-    u, which comes no later. A row with no crossing in (0, pi) gets the end
-    CHORD_ITERATIONS halvings of [0, pi] converge to. On a polygonal norm the
-    crossing is solved in closed form (_polygon_offsets); on a smooth one by
-    engine.bracketed_roots, to the width of CHORD_ITERATIONS halvings. side,
-    edge and eps (a scalar or one value per row) vary per row so that all
-    branches and chord lengths share one solve; each row's result depends on
-    that row alone.
+    thr: c(u) >= thr at a near row's u, which comes no earlier than the
+    crossing, and c(u) <= thr at a far row's u, which comes no later. On a
+    polygonal norm thr lies just inside the level set, eps - band on a near
+    row and eps + band on a far one, with band = 1e-11 max(1, eps); on a
+    strictly convex norm, where c is strictly increasing, thr = eps. A row
+    with no crossing in (0, pi) gets the end CHORD_ITERATIONS halvings of
+    [0, pi] converge to. On a polygonal norm the crossing is solved in closed
+    form (_polygon_offsets); on a smooth one by engine.bracketed_roots, to the
+    width of CHORD_ITERATIONS halvings. side, edge and eps (a scalar or one
+    value per row) vary per row so that all branches and chord lengths share
+    one solve; each row's result depends on that row alone.
     """
     eps = np.broadcast_to(np.asarray(eps, dtype=float), np.shape(thetas))
-    # a small band around eps keeps rounding noise on flat stretches from
-    # flipping the membership test and collapsing the far edge onto the near one
-    band = 1e-11 * np.maximum(1.0, eps)
+    polygon = norm._polygon()
+    # on a polygonal norm, a small band around eps keeps rounding noise on
+    # flat stretches from flipping the membership test and collapsing the far
+    # edge onto the near one; a strictly convex norm has no flat stretch
+    band = 0.0 if polygon is None else 1e-11 * np.maximum(1.0, eps)
     thr = np.where(is_far, eps + band, eps - band)
     # u is past the threshold when c(u) >= thr on a near row and c(u) > thr on
     # a far row, that is when the gap c(u) - thr is at least 0, or at least the
@@ -264,10 +270,14 @@ def _chord_offsets_rows(
     # rows get the bracket bisection ends on without evaluating c
     all_past = gap_lo >= floor
     u = np.where(all_past, np.where(is_far, *_ALL_PAST), np.where(is_far, *_NONE_PAST))
-    rows = np.flatnonzero(~all_past & (gap_hi >= floor))
+    # on a strictly convex norm c(u) < 2 before the antipode, so a row with
+    # thr = 2 crosses at pi itself, the end an unsolved near row gets; solved,
+    # it would stop wherever c(u) first rounds to 2, which on a nearly flat
+    # sphere such as l_20's is far from pi
+    crosses = gap_hi >= floor if polygon is not None else gap_hi > floor
+    rows = np.flatnonzero(~all_past & crosses)
     if rows.size:
         th, target, side, far, thr_r, floor_r = (a[rows] for a in (thetas, targets, sides, is_far, thr, floor))
-        polygon = norm._polygon()
         if polygon is None:
             gap = lambda x, th, target, side, thr: _chord_lengths(norm, th, target, side, x) - thr  # noqa: E731
             lo, hi = bracketed_roots(gap, 0.0, math.pi, gap_lo[rows], gap_hi[rows], floor_r, CHORD_ITERATIONS, th, target, side, thr_r)
@@ -354,17 +364,28 @@ def _polygon_offsets(norm: Norm, polygon, th, target, side, far, thr, floor) -> 
 
 
 _CHORD_BRANCHES = ((1.0, "near"), (1.0, "far"), (-1.0, "near"), (-1.0, "far"))
+_NEAR_BRANCHES = tuple(b for b in _CHORD_BRANCHES if b[1] == "near")
+
+
+def _chord_branches(norm: Norm) -> tuple:
+    """The chord branches (arc side, end of the level set) of a norm: all
+    four on a polygonal norm, whose level sets may be flat arcs, and the near
+    end of each side on the others, which are strictly convex, so that the
+    level set on a side is one point."""
+    return _CHORD_BRANCHES if norm._polygon() is not None else _NEAR_BRANCHES
 
 
 def _chord_points(norm: Norm, thetas: np.ndarray, eps) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sphere points X at the given angles and the candidate chord partners Z
-    with ||X - Z|| = eps (a scalar or one value per angle): both ends of the
-    level set on both arc sides."""
+    with ||X - Z|| = eps (a scalar or one value per angle), one array per
+    branch of _chord_branches: both ends of the level set on both arc sides
+    on a polygonal norm, the one point on each side on a strictly convex one."""
     X = norm.sphere_point(thetas)
     n = len(thetas)
-    b = len(_CHORD_BRANCHES)
-    sides = np.repeat([s for s, _ in _CHORD_BRANCHES], n)
-    is_far = np.repeat([e == "far" for _, e in _CHORD_BRANCHES], n)
+    branches = _chord_branches(norm)
+    b = len(branches)
+    sides = np.repeat([s for s, _ in branches], n)
+    is_far = np.repeat([e == "far" for _, e in branches], n)
     th = np.tile(thetas, b)
     u = _chord_offsets_rows(norm, th, np.tile(X, (b, 1)), np.tile(np.broadcast_to(eps, (n,)), b), sides, is_far)
     Z = norm.sphere_point(th + sides * u)
@@ -372,9 +393,9 @@ def _chord_points(norm: Norm, thetas: np.ndarray, eps) -> tuple[np.ndarray, list
 
 
 class _ChordScan:
-    """Sphere points X at the angles thetas and their chord partners Zs, as
-    _chord_points returns them, with the support endpoints of X and of each Z
-    computed once, on first use."""
+    """Sphere points X at the angles thetas and their chord partners Zs, one
+    array per chord branch of the norm, as _chord_points returns them, with
+    the support endpoints of X and of each Z computed once, on first use."""
 
     def __init__(self, norm: Norm, thetas: np.ndarray, X: np.ndarray, Zs):
         self.norm, self.thetas, self.X, self.Zs = norm, thetas, X, tuple(Zs)
@@ -501,6 +522,12 @@ _TWO_ANGLE_KINDS = frozenset({"rho", "milman-minus", "milman-plus"})
 _LAMBDA, _ZETA = ModulusKind("lambda-minus"), ModulusKind("zeta-minus")
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> per row, from the two columns; the + 0.0 turns a -0.0 sum into
+    the +0.0 that np.sum(a * b, axis=-1) gives, and changes nothing else."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + 0.0
+
+
 def _config_value(norm: Norm, kind: ModulusKind, eps, f: dict, dual: Norm | None) -> np.ndarray:
     """The kind's value of configurations from their fields, one per row; eps
     is a scalar or one value per row."""
@@ -509,9 +536,9 @@ def _config_value(norm: Norm, kind: ModulusKind, eps, f: dict, dual: Norm | None
         t = 0.5 if name in ("delta", "banas") else kind.t
         return 1.0 - np.asarray(norm(t * f["x"] + (1.0 - t) * f["z"]))
     if name.startswith("phi"):
-        return np.sum(f["p"] * (f["x"] - f["z"]), axis=-1)
+        return _dot(f["p"], f["x"] - f["z"])
     if name.startswith("gamma"):
-        return np.sum((f["p1"] - f["p2"]) * (f["x1"] - f["x2"]), axis=-1)
+        return _dot(f["p1"] - f["p2"], f["x1"] - f["x2"])
     if name.startswith("d-"):
         return np.asarray(dual(f["p1"] - f["p2"]))
     if name.startswith("lambda"):
@@ -532,7 +559,7 @@ def _chord_table(norm: Norm, kind: ModulusKind, scan: _ChordScan, dual: Norm | N
     X = scan.X
     z_supports = scan.z_supports() if name.startswith(("gamma", "d-")) else [(None, None)] * len(scan.Zs)
     table = []
-    for (side, edge), Z, (pm2, pp2) in zip(_CHORD_BRANCHES, scan.Zs, z_supports):
+    for (side, edge), Z, (pm2, pp2) in zip(_chord_branches(norm), scan.Zs, z_supports):
         branch = {"side": int(side), "edge": edge}
         if name == "d-minus":
             # ||p1 - p2||_* is convex in (s, t): the sup of d-plus sits at the

@@ -149,13 +149,14 @@ class EuclideanNorm(Norm):
     kind = "euclidean"
 
     def _eval(self, a):
-        return np.sqrt(np.sum(a * a, axis=-1))
+        a0, a1 = a[..., 0], a[..., 1]
+        return np.sqrt(a0 * a0 + a1 * a1)
 
     def dual(self):
         return self
 
     def _support_batch(self, X):
-        U = X / np.sqrt(np.sum(X * X, axis=-1))[..., None]
+        U = X / self._eval(X)[..., None]
         return U, U.copy()
 
     def to_json_dict(self):
@@ -189,14 +190,28 @@ class WeightedLpNorm(Norm):
             self._poly = PolygonNorm([(a, b), (-a, b), (-a, -b), (a, -b)])
 
     def _eval(self, a):
-        s = a if self._unit else a * self.w
+        # by columns: on a last axis of length 2, a sum or max reduction
+        # costs more than the one operation it performs
+        s0, s1 = np.abs(a[..., 0]), np.abs(a[..., 1])
+        if not self._unit:
+            s0, s1 = s0 * self.w[0], s1 * self.w[1]
         if self.p == 1.0:
-            return np.sum(np.abs(s), axis=-1)
+            return s0 + s1
         if math.isinf(self.p):
-            return np.max(np.abs(s), axis=-1)
+            return np.maximum(s0, s1)
         if self.p == 2.0:
-            return np.sqrt(np.sum(s * s, axis=-1))
-        return np.sum(np.abs(s) ** self.p, axis=-1) ** (1.0 / self.p)
+            return np.sqrt(s0 * s0 + s1 * s1)
+        # scaled by the larger coordinate, so that no power underflows or
+        # overflows before the root (Blue, ACM TOMS 4(1), 1978); where big is
+        # 0 so is the smaller one, and the ratio and the gauge are 0
+        big = np.maximum(s0, s1)
+        ratio = np.minimum(s0, s1) / np.where(big > 0.0, big, 1.0)
+        # in place, so that a many-row call holds one array fewer at its peak
+        ratio **= self.p
+        ratio += 1.0
+        ratio **= 1.0 / self.p
+        ratio *= big
+        return ratio
 
     def dual(self):
         return WeightedLpNorm(_conjugate(self.p), 1.0 / self.w)
@@ -204,8 +219,10 @@ class WeightedLpNorm(Norm):
     def _support_batch(self, X):
         if self._poly is not None:
             return self._poly._support_batch(X)
-        U = X / np.asarray(self._eval(X))[..., None]
-        P = np.sign(U) * self.w**self.p * np.abs(U) ** (self.p - 1.0)
+        # the gradient of the gauge at U = X / ||X||, w sign(S) |S|^(p - 1)
+        # with S = w U, which forms no w^p (inf for w = 1e4 and p = 100)
+        S = X / np.asarray(self._eval(X))[..., None] * self.w
+        P = self.w * np.sign(S) * np.abs(S) ** (self.p - 1.0)
         return P, P.copy()
 
     def special_angles(self):

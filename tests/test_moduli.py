@@ -33,7 +33,7 @@ from planemoduli import (
 )
 from planemoduli import moduli
 from planemoduli import modulus_batch
-from planemoduli.moduli import KIND_NAMES, ChordScans, CurveSample, _objective_1d, _objective_2d
+from planemoduli.moduli import KIND_NAMES, ChordScans, CurveSample, _objective_1d, _objective_2d, kind_domain
 from planemoduli.verify import ModulusCache, SuiteSettings, _sample_family, _sample_polygon, standard_norms
 
 EUCLID = euclidean_norm()
@@ -378,12 +378,18 @@ def test_modulus_curve_is_one_batch(monkeypatch):
 # -- the chord solver against the bisection it replaced -----------------------------
 
 
+def _band(norm, eps):
+    """The solver's band around eps: 1e-11 max(1, eps) on a polygonal norm,
+    whose level sets may be flat arcs, and none on a strictly convex one."""
+    return 1e-11 * np.maximum(1.0, eps) if norm._polygon() is not None else 0.0
+
+
 def _bisect_chords(norm, thetas, targets, eps, sides, is_far):
     """Reference: CHORD_ITERATIONS halvings of [0, pi] on every row, with the
     same band and the same near/far membership test as the solver."""
     lo = np.zeros_like(thetas)
     hi = np.full_like(thetas, np.pi)
-    band = 1e-11 * np.maximum(1.0, eps)
+    band = _band(norm, eps)
     for _ in range(moduli.CHORD_ITERATIONS):
         mid = 0.5 * (lo + hi)
         c = np.asarray(norm(norm.sphere_point(thetas + sides * mid) - targets))
@@ -394,10 +400,12 @@ def _bisect_chords(norm, thetas, targets, eps, sides, is_far):
 
 
 def _branch_rows(norm, thetas, eps):
-    """The rows _chord_points solves: every angle on all four branches."""
-    b = len(moduli._CHORD_BRANCHES)
-    sides = np.repeat([s for s, _ in moduli._CHORD_BRANCHES], len(thetas))
-    is_far = np.repeat([e == "far" for _, e in moduli._CHORD_BRANCHES], len(thetas))
+    """The rows _chord_points solves: every angle on each of the norm's chord
+    branches (four on a polygonal norm, two on a strictly convex one)."""
+    branches = moduli._chord_branches(norm)
+    b = len(branches)
+    sides = np.repeat([s for s, _ in branches], len(thetas))
+    is_far = np.repeat([e == "far" for _, e in branches], len(thetas))
     X = norm.sphere_point(thetas)
     return np.tile(thetas, b), np.tile(X, (b, 1)), np.full(b * len(thetas), eps), sides, is_far
 
@@ -413,15 +421,16 @@ def _check_against_bisection(norm, rows, u):
     flat in u for that (near the diameter), at a chord residual no larger
     than the bisection's, up to the rounding of the chord length itself.
     Rows without a crossing in (0, pi) get the bisection's end exactly.
-    Returns the mask of those rows."""
+    Returns the mask of those rows. As in the solver, c(pi) is 2, not its
+    evaluation, which can round to 2 - 1 ulp where no band absorbs it."""
     eps, is_far = rows[2], rows[4]
     ref = _bisect_chords(norm, *rows)
-    band = 1e-11 * np.maximum(1.0, eps)
+    band = _band(norm, eps)
     thr = np.where(is_far, eps + band, eps - band)
-    c, c_ref = _chord_length(norm, rows, u), _chord_length(norm, rows, ref)
-    top = _chord_length(norm, rows, np.full_like(u, np.pi))
+    length = lambda u: np.where(u == np.pi, 2.0, _chord_length(norm, rows, u))  # noqa: E731
+    c, c_ref = length(u), length(ref)
     past = lambda c: np.where(is_far, c > thr, c >= thr)  # noqa: E731
-    edge = past(np.zeros_like(u)) | ~past(top)
+    edge = past(np.zeros_like(u)) | ~past(np.full_like(u, 2.0))
     assert np.array_equal(u[edge], ref[edge])
     assert np.all(np.where(is_far, ~past(c), past(c)) | edge)
     close = np.abs(u - ref) <= math.ldexp(math.pi, -45)
@@ -506,6 +515,49 @@ def test_chord_near_and_far_ends(norm, theta, eps, near, far):
     assert np.all(np.where(rows[4], u >= want, u <= want))
 
 
+# -- chords on strictly convex norms ------------------------------------------------
+# their level set on each arc side is one point, solved at eps itself: the
+# witness chords have length eps, not eps shifted by a band
+
+SMOOTH_CHORD_NORMS = (EUCLID, lp_norm(1.01), LP3, lp_norm(100), weighted_lp_norm(3, 1.3, 0.7))
+SMOOTH_CHORD_EPS = (1e-6, 0.3, 1.2, 1.999998, 2.0)
+
+
+@pytest.mark.parametrize("norm", SMOOTH_CHORD_NORMS, ids=("euclidean", "lp1.01", "lp3", "lp100", "weighted-lp3"))
+def test_smooth_witness_chords_have_length_eps(norm):
+    points = [(K(token), eps) for token in CHORD_TOKENS for eps in SMOOTH_CHORD_EPS]
+    for (kind, eps), sample in zip(points, modulus_batch(norm, points, **FAST)):
+        w = sample.witness
+        x, z = (w["x"], w["z"]) if "z" in w else (w["x1"], w["x2"])
+        length = norm(np.subtract(x, z))
+        assert abs(length - eps) <= 1e-12 * max(1.0, eps), (kind.token(), eps, length - eps)
+
+
+@pytest.mark.parametrize("norm", (*SMOOTH_CHORD_NORMS, lp_norm(20)), ids=("euclidean", "lp1.01", "lp3", "lp100", "weighted-lp3", "lp20"))
+def test_smooth_chords_of_length_two_end_at_the_antipode(norm):
+    # a strictly convex sphere meets ||x - z|| = 2 only at z = -x, so delta(2)
+    # is 1; nearly flat spheres such as l_20's round c(u) to 2 well before it
+    sample = modulus(norm, K("delta"), 2.0, **FAST)
+    assert sample.value >= 1.0 - 1e-14
+    assert np.allclose(sample.witness["z"], np.negative(sample.witness["x"]), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("eps", [1.9, 1.999998])
+def test_euclidean_closed_forms_near_the_diameter(eps):
+    # at the compute defaults; delta and banas have slope 1/sqrt(8e-6) ~ 354 in
+    # eps at 1.999998, so a chord 2e-11 too short would miss by 7e-9
+    tokens = [token for token in ALL_TOKENS if kind_domain(K(token))[1] >= eps]
+    for token, sample in zip(tokens, modulus_batch(EUCLID, [(K(token), eps) for token in tokens])):
+        assert abs(sample.value - hilbert_reference(K(token), eps)) <= 1e-12, token
+
+
+def test_lp100_phi_plus_grows_quadratically():
+    # the chords at eps 1e-6 are 1e-6 long, not the underflowed 5.8e-4 of a
+    # gauge that raises the coordinates to the power 100 before its root
+    small, double = (modulus(lp_norm(100), K("phi-plus"), eps, **FAST).value for eps in (1e-6, 2e-6))
+    assert double / small == pytest.approx(4.0, rel=0.01)
+
+
 # -- d-minus over the support segments of polygonal norms ---------------------------
 
 D_MINUS_POLYGONS = _sample_family("random-polygons", 10, np.random.default_rng(31))[0]
@@ -582,7 +634,8 @@ def test_chord_kinds_bisect_the_coarse_grid_once(norm, monkeypatch):
         return bisect(norm, thetas, *args)
 
     monkeypatch.setattr(moduli, "_chord_offsets_rows", counted)
-    coarse_rows = len(moduli._CHORD_BRANCHES) * _coarse_rows(norm)
+    # two branches on lp3, four on the polygons
+    coarse_rows = len(moduli._chord_branches(norm)) * _coarse_rows(norm)
     partner_rows = 2 * len(norm.special_angles())
     # one kind at a time, and all ten kinds as one batch
     for fill in (
@@ -615,8 +668,8 @@ def test_kept_scans_compute_their_supports_once(norm, monkeypatch):
     cache = ModulusCache(SCAN_SETTINGS)
     for token in CHORD_TOKENS:
         cache.sample(norm, K(token), eps)
-    # X and the four partner arrays, once each, across the ten kinds
-    assert rows.count(_coarse_rows(norm)) == 1 + len(moduli._CHORD_BRANCHES)
+    # X and the partner array of each branch, once each, across the ten kinds
+    assert rows.count(_coarse_rows(norm)) == 1 + len(moduli._chord_branches(norm))
 
 
 def test_chord_scans_are_read_only_and_keyed_on_exact_eps():

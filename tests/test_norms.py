@@ -99,6 +99,65 @@ def test_zero_iff_zero():
         assert norm((1e-9, -1e-9)) > 0.0
 
 
+# |s|^p underflows or overflows long before the 1/p root would bring it back;
+# the gauge is scaled by the larger coordinate so that it does neither
+SHARP = WeightedLpNorm(100, (1e4, 1e-4))
+
+
+def test_gauge_at_extreme_scales():
+    assert LpNorm(100)((1e-6, 0.0)) == 1e-6
+    assert SHARP((1.0, 0.0)) == 1e4
+    assert SHARP((0.0, 1.0)) == 1e-4
+
+
+def test_sharp_weighted_sphere_and_supports():
+    th = np.linspace(0.0, 2.0 * np.pi, 97)
+    X = SHARP.sphere_point(th)
+    assert np.all(np.abs(SHARP(X) - 1.0) <= 4 * np.spacing(1.0))
+    for x in X[::8]:
+        s = SHARP.support_set(x)
+        for p in (s.p_minus, s.p_plus):
+            assert np.all(np.isfinite(p))
+            assert float(p @ x) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [1.01, 3.0, 100.0])
+def test_gauge_is_homogeneous_at_extreme_scales(p):
+    norm = LpNorm(p)
+    V = np.random.default_rng(11).normal(size=(64, 2))
+    base = norm(V)
+    for t in (1e-200, 1e200):
+        assert np.all(np.abs(norm(t * V) - t * base) <= 4 * np.spacing(t * base))
+
+
+def _reduction_gauge(norm, a):
+    """The gauges as axis reductions over the coordinates, as they were
+    written before they were computed by columns."""
+    if isinstance(norm, EuclideanNorm):
+        return np.sqrt(np.sum(a * a, axis=-1))
+    s = a if norm._unit else a * norm.w
+    if norm.p == 1.0:
+        return np.sum(np.abs(s), axis=-1)
+    if math.isinf(norm.p):
+        return np.max(np.abs(s), axis=-1)
+    if norm.p == 2.0:
+        return np.sqrt(np.sum(s * s, axis=-1))
+    return np.sum(np.abs(s) ** norm.p, axis=-1) ** (1.0 / norm.p)
+
+
+def test_column_gauges_equal_the_reductions():
+    A = np.random.default_rng(12).normal(size=(500, 2)) * np.exp(np.random.default_rng(13).uniform(-5, 5, (500, 1)))
+    A[:3] = [(0.0, 0.0), (-0.0, 2.0), (3.0, -0.0)]
+    exact = [EuclideanNorm(), *(LpNorm(p) for p in (1, 2, "inf")), *(WeightedLpNorm(p, (1.3, 0.7)) for p in (1, 2, "inf"))]
+    for norm in exact:
+        assert np.array_equal(norm(A), _reduction_gauge(norm, A)), norm
+        assert all(norm(a) == _reduction_gauge(norm, a) for a in A[:40]), norm
+    # the scaled gauge of the other p rounds differently, by a few ulps
+    for norm in (LpNorm(1.5), LpNorm(3), WeightedLpNorm(3, (1.3, 0.7)), LpNorm(7.5)):
+        ref = _reduction_gauge(norm, A)
+        assert np.all(np.abs(norm(A) - ref) <= 4 * np.spacing(ref)), norm
+
+
 # -- duality ----------------------------------------------------------------
 
 
