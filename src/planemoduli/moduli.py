@@ -240,19 +240,22 @@ def _chord_offsets_rows(
     2 for every origin-symmetric norm: c(pi) is taken as 2, not evaluated, so
     every eps in [0, 2] has a chord on each arc. The chord-eps level
     set may be a flat arc (polygon facets); rows with is_far False return the
-    end nearest the start, rows with is_far True the opposite end (both
-    coincide for strictly convex norms). Each row answers for a threshold
-    thr: c(u) >= thr at a near row's u, which comes no earlier than the
-    crossing, and c(u) <= thr at a far row's u, which comes no later. On a
-    polygonal norm thr lies just inside the level set, eps - band on a near
-    row and eps + band on a far one, with band = 1e-11 max(1, eps); on a
-    strictly convex norm, where c is strictly increasing, thr = eps. A row
-    with no crossing in (0, pi) gets the end CHORD_ITERATIONS halvings of
-    [0, pi] converge to. On a polygonal norm the crossing is solved in closed
-    form (_polygon_offsets); on a smooth one by engine.bracketed_roots, to the
-    width of CHORD_ITERATIONS halvings. side, edge and eps (a scalar or one
-    value per row) vary per row so that all branches and chord lengths share
-    one solve; each row's result depends on that row alone.
+    end nearest the start, rows with is_far True the opposite end. Only
+    polygonal norms are called with is_far rows: on a strictly convex norm
+    the level set on each side is one point, and every solved row returns
+    the near end, the upper end of its bracket. Each row answers for a
+    threshold thr: c(u) >= thr at a near row's u, which comes no earlier
+    than the crossing, and c(u) <= thr at a far row's u, which comes no
+    later. On a polygonal norm thr lies just inside the level set, eps -
+    band on a near row and eps + band on a far one, with band = 1e-11
+    max(1, eps); on a strictly convex norm, where c is strictly increasing,
+    thr = eps. A row with no crossing in (0, pi) gets the end
+    CHORD_ITERATIONS halvings of [0, pi] converge to. On a polygonal norm
+    the crossing is solved in closed form (_polygon_offsets); on a smooth
+    one by engine.bracketed_roots, to the width of CHORD_ITERATIONS
+    halvings. side, edge and eps (a scalar or one value per row) vary per
+    row so that all branches and chord lengths share one solve; each row's
+    result depends on that row alone.
     """
     eps = np.broadcast_to(np.asarray(eps, dtype=float), np.shape(thetas))
     polygon = norm._polygon()
@@ -273,15 +276,14 @@ def _chord_offsets_rows(
     # on a strictly convex norm c(u) < 2 before the antipode, so a row with
     # thr = 2 crosses at pi itself, the end an unsolved near row gets; solved,
     # it would stop wherever c(u) first rounds to 2, which on a nearly flat
-    # sphere such as l_20's is far from pi
-    crosses = gap_hi >= floor if polygon is not None else gap_hi > floor
-    rows = np.flatnonzero(~all_past & crosses)
+    # sphere such as l_20's is far from pi; on a polygonal norm the band keeps
+    # 2 - thr clear of the floor, so that > and >= pick the same rows there
+    rows = np.flatnonzero(~all_past & (gap_hi > floor))
     if rows.size:
         th, target, side, far, thr_r, floor_r = (a[rows] for a in (thetas, targets, sides, is_far, thr, floor))
         if polygon is None:
             gap = lambda x, th, target, side, thr: _chord_lengths(norm, th, target, side, x) - thr  # noqa: E731
-            lo, hi = bracketed_roots(gap, 0.0, math.pi, gap_lo[rows], gap_hi[rows], floor_r, CHORD_ITERATIONS, th, target, side, thr_r)
-            u[rows] = np.where(far, lo, hi)
+            u[rows] = bracketed_roots(gap, 0.0, math.pi, gap_lo[rows], gap_hi[rows], 0.0, CHORD_ITERATIONS, th, target, side, thr_r)[1]
         else:
             u[rows] = _polygon_offsets(norm, polygon, th, target, side, far, thr_r, floor_r)
     return u
@@ -371,7 +373,17 @@ def _chord_branches(norm: Norm) -> tuple:
     """The chord branches (arc side, end of the level set) of a norm: all
     four on a polygonal norm, whose level sets may be flat arcs, and the near
     end of each side on the others, which are strictly convex, so that the
-    level set on a side is one point."""
+    level set on a side is one point.
+
+    Sharp l_p norms are strictly convex but numerically flat: 1 + r**p rounds
+    to 1 for r below 1e-16**(1/p), about 0.69 at p = 100, so the evaluated
+    c(u) has flat stretches as on a polygon facet, and there the near end
+    alone can miss an extreme that the far end would reach; neither end is
+    the exact crossing there. Against all four branches (far ends at thr =
+    eps), at the modulus defaults and nine eps from 1e-6 to 2, the ten chord
+    kinds moved by at most 0.05 refine_tol on lp:100, and by up to 25
+    refine_tol on weighted-lp:100:1e4:1e-4 (phi-minus, gamma-minus, d-minus
+    and delta-t:0.3 from eps 1.2 to 2)."""
     return _CHORD_BRANCHES if norm._polygon() is not None else _NEAR_BRANCHES
 
 
