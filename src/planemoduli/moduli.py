@@ -121,7 +121,9 @@ class ModulusKind:
             raise InputError(f"kind {self.name!r} takes no parameter")
 
     def token(self) -> str:
-        return self.name if self.t is None else f"{self.name}:{self.t:g}"
+        """The kind as text; t is written with repr, which parses back to the
+        same float, so that parse(token()) == self."""
+        return self.name if self.t is None else f"{self.name}:{self.t!r}"
 
     @staticmethod
     def parse(token: str) -> "ModulusKind":
@@ -289,12 +291,6 @@ def _chord_offsets_rows(
     return u
 
 
-def _scores(F: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """<F_j, a> for each row of a (shape (k, 2)) and each functional F_j, as
-    explicit column products, which round the same for any number of rows."""
-    return a[:, 0:1] * F[:, 0] + a[:, 1:2] * F[:, 1]
-
-
 def _polygon_offsets(norm: Norm, polygon, th, target, side, far, thr, floor) -> np.ndarray:
     """The crossing rows of _chord_offsets_rows on a polygonal norm, in
     closed form.
@@ -310,15 +306,16 @@ def _polygon_offsets(norm: Norm, polygon, th, target, side, far, thr, floor) -> 
     steps, a near row later and a far row earlier, until it does not, so that
     each row keeps the semantics of the ITP bracket as evaluated.
     """
-    V, F = polygon.vertices, polygon._functionals
+    V = polygon.vertices
     n = len(V)
     two_pi = 2.0 * math.pi
-    # arc offsets of the vertices from each row's start, on its side; the
-    # vertices strictly inside the half turn are a run of consecutive indices
-    W = np.mod(side[:, None] * (np.arctan2(V[:, 1], V[:, 0]) - th[:, None]), two_pi)
+    # arc offsets of the vertices from each row's start, on its side, one row
+    # of W per vertex; the vertices strictly inside the half turn are a run of
+    # consecutive indices
+    W = np.mod(np.subtract.outer(np.arctan2(V[:, 1], V[:, 0]), th) * side, two_pi)
     on = (W > 0.0) & (W < math.pi)
-    count = np.sum(on, axis=1)
-    first = np.argmin(np.where(on, W, np.inf), axis=1)
+    count = np.sum(on, axis=0)
+    first = np.argmin(np.where(on, W, np.inf), axis=0)
     step = np.where(side > 0, 1, -1)
     # the place on the arc of the first vertex past thr (count if none is)
     lo, hi = np.zeros(len(th), dtype=int), count.copy()
@@ -328,7 +325,7 @@ def _polygon_offsets(norm: Norm, polygon, th, target, side, far, thr, floor) -> 
             break
         mid = (lo[act] + hi[act]) // 2
         chord = target[act] - V[(first[act] + step[act] * mid) % n]
-        past = np.max(_scores(F, chord), axis=1) - thr[act] >= floor[act]
+        past = polygon._eval(chord) - thr[act] >= floor[act]
         hi[act] = np.where(past, mid, hi[act])
         lo[act] = np.where(past, lo[act], mid + 1)
     k = np.arange(len(th))
@@ -336,17 +333,18 @@ def _polygon_offsets(norm: Norm, polygon, th, target, side, far, thr, floor) -> 
     ip, iq = (first + step * (lo - 1)) % n, (first + step * lo) % n
     P = np.where(has_p[:, None], V[ip], target)
     Q = np.where(has_q[:, None], V[iq], -target)
-    u_p = np.where(has_p, W[k, ip], 0.0)
-    u_q = np.where(has_q, W[k, iq], math.pi)
+    u_p = np.where(has_p, W[ip, k], 0.0)
+    u_q = np.where(has_q, W[iq, k], math.pi)
     E = Q - P
-    alpha, gamma = _scores(F, target - P), -_scores(F, E)
+    # facet-first, one row per facet functional
+    alpha, gamma = polygon._scores(target - P), -polygon._scores(E)
     # aimed 16 ulps of max(1, eps) to the returned side of thr (above it on a
     # near row, below on a far one), beyond the rounding of an evaluated chord
     # length (a few ulps of the sphere points' size), so that the polish below
     # seldom runs
     aim = thr + np.where(far, -16.0, 16.0) * np.spacing(np.maximum(1.0, thr))
     rise = gamma > 0.0
-    t = np.min(np.divide(aim[:, None] - alpha, gamma, out=np.full_like(alpha, np.inf), where=rise), axis=1)
+    t = np.min(np.divide(aim - alpha, gamma, out=np.full_like(alpha, np.inf), where=rise), axis=0)
     Z = P + np.clip(t, 0.0, 1.0)[:, None] * E
     # the offset of Z's angle, reduced into the half turn around the edge
     d = side * (np.arctan2(Z[:, 1], Z[:, 0]) - th)

@@ -298,12 +298,18 @@ class PolygonNorm(Norm):
         self.vertices = V
         self._functionals = N / c[:, None]
 
+    def _scores(self, a):
+        """<F_j, a> for each facet functional F_j and each point of a, shape
+        (..., 2), laid out facet-first: shape (facets, ...). Each score is one
+        elementwise product-sum, so a point gets the same bits alone as in a
+        batch, and a reduction over the facets runs along the leading axis."""
+        F = self._functionals
+        s = np.multiply.outer(F[:, 0], a[..., 0])
+        s += np.multiply.outer(F[:, 1], a[..., 1])
+        return s
+
     def _eval(self, a):
-        # a one-row a @ F.T rounds differently from a many-row one: a lone
-        # point is evaluated as two copies, to get the bits it gets in a batch
-        if a.size == 2:
-            return np.max(np.repeat(a.reshape(1, 2), 2, axis=0) @ self._functionals.T, axis=-1)[0].reshape(a.shape[:-1])
-        return np.max(a @ self._functionals.T, axis=-1)
+        return self._scores(a).max(axis=0)
 
     def dual(self):
         return PolygonNorm(self._functionals)
@@ -311,19 +317,20 @@ class PolygonNorm(Norm):
     def _support_batch(self, X):
         A = self._functionals
         m = len(A)
-        U = X / np.asarray(self._eval(X))[..., None]
-        S = U @ A.T
-        smax = np.max(S, axis=-1)
-        tie = S >= (smax[:, None] - _TIE_TOL)
-        idx = np.argmax(S, axis=-1)
+        # scored once: the scores over their column max, the gauge, are the
+        # scores of the normalized point
+        S = self._scores(X)
+        S /= S.max(axis=0)
+        tie = S >= 1.0 - _TIE_TOL
+        idx = np.argmax(S, axis=0)
         # a run of tied facets spans the support segment, from the run's first
         # facet to its last; where the ties form no single run (the tolerance
         # fattened them past a full cycle), the argmax facet stays
-        count = np.sum(tie, axis=-1)
+        count = np.sum(tie, axis=0)
         multi = np.flatnonzero(count > 1)
         lo = hi = idx
         if multi.size:
-            T = tie[multi]
+            T = tie[:, multi].T
             starts = T & ~T[:, np.arange(m) - 1]
             one = np.sum(starts, axis=-1) == 1
             r, j = multi[one], np.argmax(starts[one], axis=-1)

@@ -126,7 +126,7 @@ class ModulusCache:
         filling all misses with one modulus_batch. Keys round eps to 12
         digits; the first pair of a key gives the eps that is solved."""
         nkey = norm_key(norm)
-        keys = [(nkey, kind.token(), round(float(eps), 12)) for kind, eps in pairs]
+        keys = [(nkey, kind, round(float(eps), 12)) for kind, eps in pairs]
         misses = {}
         for key, pair in zip(keys, pairs):
             if key not in self._data:
@@ -561,8 +561,9 @@ def _rels_weighted_midpoint_day_nordlander(eps):
     out = []
     for t in (0.25, 0.5, 0.75):
         g = 1.0 - math.sqrt(max(0.0, 1.0 - t * (1.0 - t) * eps * eps))
-        out.append(Relation(f"delta-t:{t:g}(eps) <= euclidean value", g, (Term(-1.0, delta_t(t), eps),)))
-        out.append(Relation(f"euclidean value <= beta-t:{t:g}(eps)", -g, (Term(1.0, beta_t(t), eps),)))
+        lower, upper = delta_t(t), beta_t(t)
+        out.append(Relation(f"{lower.token()}(eps) <= euclidean value", g, (Term(-1.0, lower, eps),)))
+        out.append(Relation(f"euclidean value <= {upper.token()}(eps)", -g, (Term(1.0, upper, eps),)))
     return out
 
 

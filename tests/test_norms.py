@@ -288,17 +288,31 @@ def test_support_batch_matches_the_tie_loop():
 
 
 def test_lone_point_evaluates_as_in_a_batch():
-    # a one-row matrix product rounds differently from a many-row one; a lone
-    # point must still get the bits its row gets in a batch
+    # a point must get the same bits alone as in a batch of any shape: each
+    # polygon score is one product-sum, max_j(a0 F_j0 + a1 F_j1), with no
+    # matrix product whose rounding depends on the row count
     rng = np.random.default_rng(17)
     for norm in _polygonal_norms(rng):
+        polygon = norm._polygon()
+
+        def reference(a):
+            return np.max([a[..., 0] * f0 + a[..., 1] * f1 for f0, f1 in polygon._functionals], axis=0)
+
         angles = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 40), norm.special_angles()])
         P = rng.uniform(-3.0, 3.0, (40, 2))
+        C = rng.uniform(-3.0, 3.0, (6, 13, 2))  # the shape of the d-minus candidates
         values, S = norm(P), norm.sphere_point(angles)
+        for a in (P, C, P[:1], C[:1]):
+            assert np.array_equal(polygon._eval(a), reference(a)), norm
         for i, p in enumerate(P):
             assert norm(p) == values[i] and norm(p[None, :])[0] == values[i], (norm, i)
+            assert polygon._eval(p) == reference(p), (norm, i)
         for i, theta in enumerate(angles):
             assert np.array_equal(norm.sphere_point(float(theta)), S[i]), (norm, i)
+        pm, pp = norm._support_batch(S)
+        for i in range(len(S)):
+            alone = norm._support_batch(S[i : i + 1])
+            assert np.array_equal(alone[0], pm[i : i + 1]) and np.array_equal(alone[1], pp[i : i + 1]), (norm, i)
 
 
 def test_support_pairing_and_dual_norm():

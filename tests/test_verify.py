@@ -329,6 +329,17 @@ def test_sample_many_fills_misses_in_one_batch_and_remembers_errors(monkeypatch)
     assert batches == [3]
 
 
+def test_cache_keys_on_the_exact_weight():
+    # weights that agree to 6 significant digits are distinct kinds, and each
+    # token parses back to the kind it was written from
+    norm = lp_norm(3.0)
+    kinds = [ModulusKind("delta-t", t) for t in (0.2, 0.2000001)]
+    assert [ModulusKind.parse(k.token()) for k in kinds] == kinds
+    got = ModulusCache(LIGHT).sample_many(norm, [(k, 1.0) for k in kinds])
+    assert got == [modulus(norm, k, 1.0, **LIGHT.modulus_kwargs()) for k in kinds]
+    assert got[0].value != got[1].value
+
+
 def test_relations_prefetch_keeps_skip_reasons():
     delta = ModulusKind("delta")
     labelled = [
