@@ -254,10 +254,11 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--checks", help="comma-separated check ids (unique prefixes accepted)")
     v.add_argument("--slack", type=float, default=1e-3, help="additive tolerance on margins (default 1e-3)")
     v.add_argument("--eps-points", type=int, default=33, help="eps samples per check domain (default 33)")
-    v.add_argument("--grid-n", type=int, default=256)
-    v.add_argument("--refine-rounds", type=int, default=4)
-    v.add_argument("--cone-samples", type=int, default=17)
-    v.add_argument("--grid-n-2d", type=int, default=96)
+    defaults = SuiteSettings()
+    v.add_argument("--grid-n", type=int, default=defaults.grid_n)
+    v.add_argument("--refine-rounds", type=int, default=defaults.refine_rounds)
+    v.add_argument("--cone-samples", type=int, default=defaults.cone_samples)
+    v.add_argument("--grid-n-2d", type=int, default=defaults.grid_n_2d)
     v.add_argument("--seed", type=int, help="recorded in the report metadata")
     v.add_argument("--out", help="report JSON path (default: stdout)")
     v.set_defaults(func=cmd_verify)

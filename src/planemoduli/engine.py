@@ -5,11 +5,11 @@ kept cells are refined together by repeated subdivision: nine samples per axis
 around each cell, recenter each cell on its best, shrink the cells by a factor
 of four. Each round stacks the stencils of every kept cell into one objective
 call. The search is written once, as a generator that yields point arrays and
-receives their values: ``extremize`` drives one search, ``extremize_batch``
-drives many independent searches in lockstep, one objective call per step for
-all of them. Problems of one batch share grid_n, refine_rounds and keep_cells,
-so every search takes the same 1 + refine_rounds steps; each has its own
-bounds, mode and extra_points.
+receives their values: ``extremize_batch`` drives many independent searches
+in lockstep, one objective call per step for all of them, and ``extremize``
+is its one-problem case. Problems of one batch share grid_n, refine_rounds
+and keep_cells, so every search takes the same 1 + refine_rounds steps; each
+has its own bounds, mode and extra_points.
 
 Stacking rows from several cells (and several problems) is bit-identical to
 evaluating them apart only if the objective computes each row on its own: a
@@ -151,13 +151,9 @@ def extremize(
     call per round on all their stencils. The objective must therefore be
     row-independent.
     """
-    search = _search(bounds, mode, grid_n, refine_rounds, keep_cells, extra_points)
-    points = next(search)
-    while True:
-        try:
-            points = search.send(objective(points))
-        except StopIteration as done:
-            return done.value
+    problem = Problem(bounds, mode, extra_points)
+    (r,) = extremize_batch(lambda Ps: [objective(Ps[0])], [problem], grid_n, refine_rounds, keep_cells)
+    return r
 
 
 def extremize_batch(

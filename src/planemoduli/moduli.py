@@ -30,14 +30,19 @@ of x: a chord x, z on one of the norm's chord branches (arc side, near or far
 end of the level set: four on a polygonal norm, and two, the near end of
 each side, on a strictly convex one, whose level set on a side is a single
 point), with supporting functionals p in J(x) or p1 in J(x1), p2 in J(x2);
-or a quasi-normal pair (x, y). The kind's configuration table (_chord_table,
-_qn_table) lists them once, each as a value array over the angles of a scan
-plus its named fields (x, z, p, x1, x2, p1, p2, side, edge, s, t_seg, y,
-y_sign). The objective reduces the values with max or min, the witness is the
-first extremal configuration of the table on the one-row scan at the winning
-angle (a row has the same bits alone as in a batch, so its value is the
-sample value), and reevaluate_witness applies the same value expression
-(_config_value) to the stored fields, as the rho and milman objective does.
+or a quasi-normal pair (x, y). The kind's configuration table lists them once,
+as a value array with a leading configuration axis and a row per angle of a
+scan, plus the named fields of each configuration (x, z, p, x1, x2, p1, p2,
+side, edge, s, t_seg, y, y_sign). One dispatcher, _tables, builds the tables
+of all the points of a batch: one chord solve for the chord kinds
+(_chord_table) and one quasi-normal pass for the lambda and zeta kinds
+(_qn_tables). The objective reduces each table with one max or min over the
+configuration axis. The witnesses of a batch come from one more _tables call,
+on one-row scans at the winning angles: each is the first extremal
+configuration of its point's table, and since a row has the same bits alone
+as in a batch, its value is the sample value. reevaluate_witness applies the
+same value expression (_config_value) to the stored fields, as the rho and
+milman objective does.
 """
 
 from __future__ import annotations
@@ -385,26 +390,9 @@ def _chord_branches(norm: Norm) -> tuple:
     return _CHORD_BRANCHES if norm._polygon() is not None else _NEAR_BRANCHES
 
 
-def _chord_points(norm: Norm, thetas: np.ndarray, eps) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Sphere points X at the given angles and the candidate chord partners Z
-    with ||X - Z|| = eps (a scalar or one value per angle), one array per
-    branch of _chord_branches: both ends of the level set on both arc sides
-    on a polygonal norm, the one point on each side on a strictly convex one."""
-    X = norm.sphere_point(thetas)
-    n = len(thetas)
-    branches = _chord_branches(norm)
-    b = len(branches)
-    sides = np.repeat([s for s, _ in branches], n)
-    is_far = np.repeat([e == "far" for _, e in branches], n)
-    th = np.tile(thetas, b)
-    u = _chord_offsets_rows(norm, th, np.tile(X, (b, 1)), np.tile(np.broadcast_to(eps, (n,)), b), sides, is_far)
-    Z = norm.sphere_point(th + sides * u)
-    return X, [Z[i * n : (i + 1) * n] for i in range(b)]
-
-
 class _ChordScan:
     """Sphere points X at the angles thetas and their chord partners Zs, one
-    array per chord branch of the norm, as _chord_points returns them, with
+    array per chord branch of the norm, as _chord_scans solves them, with
     the support endpoints of X and of each Z computed once, on first use."""
 
     def __init__(self, norm: Norm, thetas: np.ndarray, X: np.ndarray, Zs):
@@ -439,10 +427,22 @@ class _ChordScan:
 
 
 def _chord_scans(norm: Norm, requests) -> list[_ChordScan]:
-    """One _ChordScan per (eps, thetas) request, all solved in one call."""
+    """One _ChordScan per (eps, thetas) request, all solved in one call: the
+    sphere points X at the angles and their chord partners Z with
+    ||X - Z|| = eps, one array per branch of _chord_branches (both ends of
+    the level set on both arc sides on a polygonal norm, the one point on
+    each side on a strictly convex one)."""
     thetas = [th for _, th in requests]
     sizes = [len(th) for th in thetas]
-    X, Zs = _chord_points(norm, np.concatenate(thetas), np.repeat([eps for eps, _ in requests], sizes))
+    X = norm.sphere_point(np.concatenate(thetas))
+    branches = _chord_branches(norm)
+    b, n = len(branches), len(X)
+    sides = np.repeat([s for s, _ in branches], n)
+    is_far = np.repeat([e == "far" for _, e in branches], n)
+    rows = np.tile(np.concatenate(thetas), b)
+    eps = np.tile(np.repeat([eps for eps, _ in requests], sizes), b)
+    u = _chord_offsets_rows(norm, rows, np.tile(X, (b, 1)), eps, sides, is_far)
+    Zs = np.split(norm.sphere_point(rows + sides * u), b)
     cuts = np.cumsum(sizes)[:-1]
     parts = zip(np.split(X, cuts), *(np.split(Z, cuts) for Z in Zs))
     return [_ChordScan(norm, th, x, zs) for th, (x, *zs) in zip(thetas, parts)]
@@ -521,9 +521,10 @@ class ChordScans:
 
 # -- configuration tables ------------------------------------------------------
 #
-# A table is a list of (values, fields) pairs, one per configuration (see the
-# module docstring); a field is an array with a row per scan row, or a
-# constant. Table order is the witness order: the first extremal one wins.
+# A table is a (configurations, rows) value array, one row per scan angle,
+# and a list with the fields of each configuration (see the module
+# docstring); a field is an array with a row per scan row, or a constant.
+# Table order is the witness order: the first extremal one wins.
 
 _MIDPOINT_KINDS = frozenset({"delta", "banas", "delta-t", "beta-t"})
 _QN_KINDS = frozenset({"lambda-minus", "lambda-plus", "zeta-minus", "zeta-plus"})
@@ -562,13 +563,13 @@ def _config_value(norm: Norm, kind: ModulusKind, eps, f: dict, dual: Norm | None
     return inner(np.asarray(norm(X + eps * Y)), np.asarray(norm(X - eps * Y))) - 1.0
 
 
-def _chord_table(norm: Norm, kind: ModulusKind, scan: _ChordScan, dual: Norm | None) -> list[tuple[np.ndarray, dict]]:
-    """The configurations of a chord kind on a chord scan, in witness order:
-    per chord branch, then per functional p (or p1) of x, then p2 of z."""
+def _chord_table(norm: Norm, kind: ModulusKind, scan: _ChordScan, dual: Norm | None) -> tuple[np.ndarray, list[dict]]:
+    """The table of a chord kind on a chord scan, in witness order: per chord
+    branch, then per functional p (or p1) of x, then p2 of z."""
     name = kind.name
     X = scan.X
     z_supports = scan.z_supports() if name.startswith(("gamma", "d-")) else [(None, None)] * len(scan.Zs)
-    table = []
+    values, configs = [], []
     for (side, edge), Z, (pm2, pp2) in zip(_chord_branches(norm), scan.Zs, z_supports):
         branch = {"side": int(side), "edge": edge}
         if name == "d-minus":
@@ -577,16 +578,18 @@ def _chord_table(norm: Norm, kind: ModulusKind, scan: _ChordScan, dual: Norm | N
             pm1, pp1 = scan.x_support()
             v, s, t = _d_minus_over_segments(dual, pm1, pp1, pm2, pp2)
             P1, P2 = pm1 + s[:, None] * (pp1 - pm1), pm2 + t[:, None] * (pp2 - pm2)
-            table.append((v, {"x1": X, "x2": Z, "p1": P1, "p2": P2, **branch, "s": s, "t_seg": t}))
+            values.append(v)
+            configs.append({"x1": X, "x2": Z, "p1": P1, "p2": P2, **branch, "s": s, "t_seg": t})
             continue
         if name in _MIDPOINT_KINDS:
-            configs = [{"x": X, "z": Z}]
+            fields = [{"x": X, "z": Z}]
         elif name.startswith("phi"):
-            configs = [{"x": X, "z": Z, "p": P} for P in scan.x_support()]
+            fields = [{"x": X, "z": Z, "p": P} for P in scan.x_support()]
         else:
-            configs = [{"x1": X, "x2": Z, "p1": P1, "p2": P2} for P1 in scan.x_support() for P2 in (pm2, pp2)]
-        table += [(_config_value(norm, kind, None, f, dual), {**f, **branch}) for f in configs]
-    return table
+            fields = [{"x1": X, "x2": Z, "p1": P1, "p2": P2} for P1 in scan.x_support() for P2 in (pm2, pp2)]
+        values += [_config_value(norm, kind, None, f, dual) for f in fields]
+        configs += [{**f, **branch} for f in fields]
+    return np.stack(values), configs
 
 
 # live d-minus rows valued at once: each holds 5 + 2n candidates, n the
@@ -663,97 +666,82 @@ def _d_minus_candidates(b, d1, d2, rays):
     return np.clip(np.concatenate(S, axis=1), 0.0, 1.0), np.clip(np.concatenate(T, axis=1), 0.0, 1.0)
 
 
-def _qn_directions(norm: Norm, X: np.ndarray, cone_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quasi-normal directions for each row of X.
-
-    Returns (rows, Xc, Yc): flattened configuration arrays where smooth rows
-    contribute one direction and vertex rows the cone endpoints plus an
-    interior grid. Signs are handled by the caller.
-    """
+def _qn_directions(norm: Norm, X: np.ndarray, cone_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quasi-normal directions at the rows of X, as a (k, rows, 2) array Y and
+    the (k, rows) mask of the real ones. A smooth row has one direction, Y[0];
+    a vertex row has k = cone_samples + 2, from one end of its cone to the
+    other. k is 1 when no row is a vertex. Signs are handled by the caller."""
     pm, pp = norm._support_batch(X)
     wm = perp(pm)
-    seglen = np.max(np.abs(pp - pm), axis=-1)
-    smooth = seglen <= 1e-12
-    rows_list = []
-    X_list = []
-    Y_list = []
-    if np.any(smooth):
-        idx = np.nonzero(smooth)[0]
-        W = wm[idx]
-        Y = W / np.asarray(norm(W))[..., None]
-        rows_list.append(idx)
-        X_list.append(X[idx])
-        Y_list.append(Y)
-    if not np.all(smooth):
-        idx = np.nonzero(~smooth)[0]
-        wp = perp(pp[idx])
-        wmv = wm[idx]
+    vertex = np.max(np.abs(pp - pm), axis=-1) > 1e-12
+    k = cone_samples + 2 if vertex.any() else 1
+    Y = np.empty((k, len(X), 2))
+    W = wm[~vertex]
+    Y[:, ~vertex] = W / np.asarray(norm(W))[..., None]
+    if k > 1:
+        wp, wmv = perp(pp[vertex]), wm[vertex]
         lo = np.arctan2(wmv[:, 1], wmv[:, 0])
         width = np.mod(np.arctan2(wp[:, 1], wp[:, 0]) - lo, 2.0 * np.pi)
-        k = cone_samples + 2
-        frac = np.linspace(0.0, 1.0, k)
-        ang = lo[:, None] + width[:, None] * frac[None, :]
-        Y = norm.sphere_point(ang.ravel())
-        rows_list.append(np.repeat(idx, k))
-        X_list.append(np.repeat(X[idx], k, axis=0))
-        Y_list.append(Y)
-    return np.concatenate(rows_list), np.concatenate(X_list), np.concatenate(Y_list)
+        ang = lo + width * np.linspace(0.0, 1.0, k)[:, None]
+        Y[:, vertex] = norm.sphere_point(ang.ravel()).reshape(k, -1, 2)
+    real = np.zeros((k, len(X)), dtype=bool)
+    real[0] = True
+    real[:, vertex] = True
+    return Y, real
 
 
-def _qn_table(norm: Norm, points, thetas, cone_samples: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The quasi-normal configurations (x, y) of the lambda and zeta points
-    (kind, eps) on their theta arrays, both orientations of each direction:
-    the scan row each belongs to, their values and their fields. One sphere
-    and quasi-normal pass for all points, then one lambda solve and one
-    norm evaluation, each with one eps per row."""
+def _qn_tables(norm: Norm, points, thetas, cone_samples: int) -> list[tuple[np.ndarray, list[dict]]]:
+    """The tables of the lambda and zeta points (kind, eps) on their theta
+    arrays: configuration j < k is the pair (x, y) with y the direction Y[j]
+    of _qn_directions, and k + j the pair (x, -y). Where a row lacks a
+    direction, its value is -inf for a sup kind and +inf for an inf kind, so
+    that it is never extremal. One sphere and quasi-normal pass for all
+    points, then one lambda solve and one norm evaluation over the real
+    (configuration, row) pairs, each with one eps per pair."""
     sizes = [len(th) for th in thetas]
     per_row = lambda values: np.repeat(values, sizes)  # noqa: E731
-    rows, Xc, Yc = _qn_directions(norm, norm.sphere_point(np.concatenate(thetas)), cone_samples)
-    rows2 = np.concatenate([rows, rows])
-    fields = {"x": np.concatenate([Xc, Xc]), "y": np.concatenate([Yc, -Yc]), "y_sign": np.repeat([1, -1], len(Xc))}
-    E2 = per_row([eps for _, eps in points])[rows2]
-    lam = per_row([kind.name.startswith("lambda") for kind, _ in points])[rows2]
-    v = np.empty(len(rows2))
+    X = norm.sphere_point(np.concatenate(thetas))
+    Y, real = _qn_directions(norm, X, cone_samples)
+    signs = [1] * len(Y) + [-1] * len(Y)
+    Y, real = np.concatenate([Y, -Y]), np.concatenate([real, real])
+    c, r = np.nonzero(real)
+    E = per_row([eps for _, eps in points])[r]
+    lam = per_row([kind.name.startswith("lambda") for kind, _ in points])[r]
+    V = np.tile(np.where(per_row([kind.is_sup() for kind, _ in points]), -math.inf, math.inf), (len(Y), 1))
     for kind, m in ((_LAMBDA, lam), (_ZETA, ~lam)):
         if np.any(m):
-            v[m] = _config_value(norm, kind, E2[m], {"x": fields["x"][m], "y": fields["y"][m]}, None)
-    return rows2, v, fields
+            V[c[m], r[m]] = _config_value(norm, kind, E[m], {"x": X[r[m]], "y": Y[c[m], r[m]]}, None)
+    cuts = np.cumsum(sizes)[:-1]
+    parts = zip(np.split(V, cuts, axis=1), np.split(X, cuts), np.split(Y, cuts, axis=1))
+    return [(v, [{"x": x, "y": y[j], "y_sign": sign} for j, sign in enumerate(signs)]) for v, x, y in parts]
 
 
-def _values_qn(norm: Norm, points, thetas, cone_samples: int) -> list[np.ndarray]:
-    """Per lambda or zeta point, the reduced values of its _qn_table rows."""
-    sizes = [len(th) for th in thetas]
-    rows2, v, _ = _qn_table(norm, points, thetas, cone_samples)
-    hi = np.full(sum(sizes), -math.inf)
-    lo = np.full(sum(sizes), math.inf)
-    np.maximum.at(hi, rows2, v)
-    np.minimum.at(lo, rows2, v)
-    out = np.where(np.repeat([kind.is_sup() for kind, _ in points], sizes), hi, lo)
-    return np.split(out, np.cumsum(sizes)[:-1])
+def _tables(norm: Norm, points, thetas, dual: Norm | None, cone_samples: int, chords) -> list[tuple[np.ndarray, list[dict]]]:
+    """The tables of single-angle points (kind, eps) on their theta arrays,
+    one per point. chords(requests) maps (eps, thetas) requests to chord
+    scans, as ChordScans.chords does; all chord kinds share one such call,
+    and the lambda and zeta kinds one _qn_tables pass."""
+    out = [None] * len(points)
+    chord = [i for i, (kind, _) in enumerate(points) if kind.name not in _QN_KINDS]
+    qn = [i for i, (kind, _) in enumerate(points) if kind.name in _QN_KINDS]
+    if chord:
+        for i, scan in zip(chord, chords([(points[i][1], thetas[i]) for i in chord])):
+            out[i] = _chord_table(norm, points[i][0], scan, dual)
+    if qn:
+        for i, table in zip(qn, _qn_tables(norm, [points[i] for i in qn], [thetas[i] for i in qn], cone_samples)):
+            out[i] = table
+    return out
 
 
 def _objective_1d(norm: Norm, points, dual: Norm | None, cone_samples: int, chords):
     """The lockstep objective of single-angle points (kind, eps): a list of
-    (N_i, 1) theta arrays in, one per point, and their value arrays out.
-
-    chords(requests) maps (eps, thetas) requests to chord scans, as
-    ChordScans.chords does; all chord kinds of a step share one such call,
-    and the lambda and zeta kinds one _values_qn pass.
-    """
-    chord = [i for i, (kind, _) in enumerate(points) if kind.name not in _QN_KINDS]
-    qn = [i for i, (kind, _) in enumerate(points) if kind.name in _QN_KINDS]
+    (N_i, 1) theta arrays in, one per point, and their value arrays out, each
+    the max or min of the point's table over its configurations (_tables,
+    with chords as there)."""
 
     def objective(Ps):
-        thetas = [P[:, 0] for P in Ps]
-        out = [None] * len(thetas)
-        for i, scan in zip(chord, chords([(points[i][1], thetas[i]) for i in chord])):
-            kind = points[i][0]
-            values = np.stack([v for v, _ in _chord_table(norm, kind, scan, dual)])
-            out[i] = np.max(values, axis=0) if kind.is_sup() else np.min(values, axis=0)
-        if qn:
-            for i, v in zip(qn, _values_qn(norm, [points[i] for i in qn], [thetas[i] for i in qn], cone_samples)):
-                out[i] = v
-        return out
+        tables = _tables(norm, points, [P[:, 0] for P in Ps], dual, cone_samples, chords)
+        return [np.max(V, axis=0) if kind.is_sup() else np.min(V, axis=0) for (kind, _), (V, _) in zip(points, tables)]
 
     return objective
 
@@ -772,25 +760,22 @@ def _objective_2d(norm: Norm, kind: ModulusKind, eps: float):
 # -- witnesses -----------------------------------------------------------------
 
 
-def _describe_theta(norm: Norm, kind: ModulusKind, eps: float, theta: float, dual: Norm | None, cone_samples: int) -> dict:
-    """Witness for a single-angle kind at the extremal theta: the first
-    extremal configuration of the kind's table on the one-row scan at theta."""
-    th = np.array([theta])
-    if kind.name in _QN_KINDS:
-        table = [_qn_table(norm, [(kind, eps)], [th], cone_samples)[1:]]
-    else:
-        table = _chord_table(norm, kind, _ChordScan(norm, th, *_chord_points(norm, th, eps)), dual)
-    values = np.concatenate([v for v, _ in table])
-    k = int(np.argmax(values) if kind.is_sup() else np.argmin(values))
-    for v, fields in table:  # the configuration holding flat row k, and k's row in it
-        if k < len(v):
-            break
-        k -= len(v)
-    witness = {"theta_x": float(theta), **{n: f[k].tolist() if isinstance(f, np.ndarray) else f for n, f in fields.items()}}
-    if kind.name in _PARAMETRIC:
-        witness["t"] = kind.t
-    witness["value"] = float(v[k])
-    return witness
+def _describe_theta(norm: Norm, points, thetas, dual: Norm | None, cone_samples: int) -> list[dict]:
+    """Witnesses of single-angle points (kind, eps) at their extremal angles:
+    per point, the first extremal configuration of its table on the one-row
+    scan at its angle, all points in one _tables pass. No scan is kept."""
+    rows = [np.array([theta]) for theta in thetas]
+    tables = _tables(norm, points, rows, dual, cone_samples, lambda r: _chord_scans(norm, r))
+    out = []
+    for (kind, _), theta, (V, configs) in zip(points, thetas, tables):
+        c = int(np.argmax(V[:, 0]) if kind.is_sup() else np.argmin(V[:, 0]))
+        fields = {n: f[0].tolist() if isinstance(f, np.ndarray) else f for n, f in configs[c].items()}
+        witness = {"theta_x": float(theta), **fields}
+        if kind.name in _PARAMETRIC:
+            witness["t"] = kind.t
+        witness["value"] = float(V[c, 0])
+        out.append(witness)
+    return out
 
 
 # -- main entry points -----------------------------------------------------------
@@ -842,7 +827,8 @@ def modulus_batch(
     for every chord kind (with the coarse scans shared through chord_scans, as
     in modulus) and one quasi-normal pass for the lambda and zeta kinds. The
     rho and milman points are searched one at a time (see _solve_two_angle).
-    Witnesses are built per point, as in modulus. Each entry of the result is
+    The single-angle witnesses come from one table pass at the winning
+    angles (see _describe_theta). Each entry of the result is
     the CurveSample that modulus returns for that point (equal with ==,
     witness included) or the DomainError that it raises.
     """
@@ -912,11 +898,11 @@ def _solve_one_angle(norm: Norm, points, grid_n, refine_rounds, cone_samples, sc
     dual = norm.dual() if any(kind.name.startswith("d-") for kind, _ in points) else None
     objective = _objective_1d(norm, points, dual, cone_samples, lambda r: scans.chords(norm, grid_n, r))
     results = _extremize_all(objective, problems, grid_n=grid_n, refine_rounds=refine_rounds)
-    out = []
-    for (kind, eps), res in zip(points, results):
-        witness = _describe_theta(norm, kind, eps, float(res.point[0]), dual, cone_samples)
-        out.append(CurveSample(eps, float(res.value), int(grid_n), max(float(res.tol), 1e-12), witness))
-    return out
+    witnesses = _describe_theta(norm, points, [float(res.point[0]) for res in results], dual, cone_samples)
+    return [
+        CurveSample(eps, float(res.value), int(grid_n), max(float(res.tol), 1e-12), witness)
+        for (_, eps), res, witness in zip(points, results, witnesses)
+    ]
 
 
 def _solve_two_angle(norm: Norm, points, grid_n_2d, refine_rounds) -> list:

@@ -62,12 +62,6 @@ class QuasiNormalCone:
     def is_degenerate(self, tol: float = 1e-12) -> bool:
         return self.width <= tol
 
-    def sample_angles(self, interior: int = 17) -> np.ndarray:
-        """Endpoints plus an interior grid; a single angle when degenerate."""
-        if self.is_degenerate():
-            return np.array([self.theta_lo])
-        return np.linspace(self.theta_lo, self.theta_hi, interior + 2)
-
     def contains_angle(self, phi: float, tol: float = 1e-9) -> bool:
         """Membership up to sign: phi and phi+pi are equivalent directions."""
         for cand in (phi, phi + np.pi):

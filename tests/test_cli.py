@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from planemoduli import InputError, check_ids, parse_curve_csv, register_check, rows_to_csv
-from planemoduli.cli import main, parse_eps_range, parse_norm_token
-from planemoduli.verify import CheckDef, Relation, Term, _pointwise
+from planemoduli.cli import _build_parser, _suite_settings, main, parse_eps_range, parse_norm_token
+from planemoduli.verify import CheckDef, Relation, SuiteSettings, Term, _pointwise
 from planemoduli.moduli import ModulusKind
 
 FAST = ["--grid-n", "96", "--refine-rounds", "3"]
@@ -191,6 +191,10 @@ def test_verify_euclid_subset_passes(tmp_path):
     assert doc["suite"]["seed"] == 3
     assert [c["id"] for c in doc["checks"]] == ["lambda-day-nordlander", "zeta-envelope"]
     assert all(c["status"] == "pass" for c in doc["checks"])
+
+
+def test_verify_defaults_are_the_suite_settings():
+    assert _suite_settings(_build_parser().parse_args(["verify"])) == SuiteSettings()
 
 
 def test_verify_unknown_check_exits_2(capsys):

@@ -400,7 +400,7 @@ def _bisect_chords(norm, thetas, targets, eps, sides, is_far):
 
 
 def _branch_rows(norm, thetas, eps):
-    """The rows _chord_points solves: every angle on each of the norm's chord
+    """The rows _chord_scans solves: every angle on each of the norm's chord
     branches (four on a polygonal norm, two on a strictly convex one)."""
     branches = moduli._chord_branches(norm)
     b = len(branches)
@@ -774,6 +774,48 @@ def test_witness_value_is_the_sample_value(name):
         if got != sample.value:
             off.append((token, sample.value, got))
     assert off == []
+
+
+@pytest.mark.parametrize("name", WITNESS_NORMS)
+def test_batched_witness_values_are_the_sample_values(name):
+    # the witnesses of a batch come from one table pass over all its winners;
+    # on a polygon some lambda and zeta winners sit at vertices, where the
+    # quasi-normal cone gives the table more than one direction
+    norm = WITNESS_NORMS[name]
+    points = [(K(token), eps) for token in ALL_TOKENS for eps in (0.3, 0.6, 0.95)]
+    samples = modulus_batch(norm, points, grid_n=128, refine_rounds=3, cone_samples=9, grid_n_2d=64)
+    assert [(kind.token(), eps) for (kind, eps), s in zip(points, samples) if s.witness["value"] != s.value] == []
+    vertices = np.mod(norm.special_angles(), 2.0 * math.pi)
+    at_vertex = [s.witness["theta_x"] in vertices for (kind, _), s in zip(points, samples) if kind.name in moduli._QN_KINDS]
+    assert any(at_vertex) == (norm._polygon() is not None)
+
+
+@pytest.mark.parametrize("norm", (HEXAGON, LP3), ids=("hexagon", "lp3"))
+def test_batch_witnesses_take_one_table_pass(norm, monkeypatch):
+    chord_calls, witness_chord_calls = [], []
+    chord, describe = moduli._chord_offsets_rows, moduli._describe_theta
+
+    def counted_chord(*args, **kwargs):
+        chord_calls.append(len(args[1]))
+        return chord(*args, **kwargs)
+
+    def counted_describe(*args, **kwargs):
+        before = len(chord_calls)
+        out = describe(*args, **kwargs)
+        witness_chord_calls.append(len(chord_calls) - before)
+        return out
+
+    monkeypatch.setattr(moduli, "_chord_offsets_rows", counted_chord)
+    monkeypatch.setattr(moduli, "_describe_theta", counted_describe)
+    chord_tokens = ("delta", "beta-t:0.7", "phi-minus", "gamma-plus", "d-minus")
+    qn_tokens = ("lambda-plus", "lambda-minus", "zeta-minus", "zeta-plus")
+    points = [(K(token), eps) for token in (*chord_tokens, *qn_tokens) for eps in (0.4, 0.9)]
+    samples = modulus_batch(norm, points, **BATCH_SETTINGS)
+    # one witness call for the batch, and in it one chord solve for every
+    # chord point's winning angle on each chord branch
+    assert witness_chord_calls == [1]
+    assert chord_calls[-1] == 2 * len(chord_tokens) * len(moduli._chord_branches(norm))
+    assert all(isinstance(s, CurveSample) for s in samples)
 
 
 # -- area additivity ---------------------------------------------------------------

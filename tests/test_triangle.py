@@ -179,7 +179,9 @@ LAMBDA_IDS = (
 @pytest.mark.parametrize("norm", LAMBDA_NORMS, ids=LAMBDA_IDS)
 def test_lambda_solver_matches_bisection(norm, monkeypatch):
     thetas = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False) + 0.01, norm.special_angles()])
-    _, Xc, Yc = moduli._qn_directions(norm, norm.sphere_point(thetas), 9)
+    X0 = norm.sphere_point(thetas)
+    Yk, real = moduli._qn_directions(norm, X0, 9)
+    Xc, Yc = np.broadcast_to(X0, Yk.shape)[real], Yk[real]
     X, Y = np.concatenate([Xc, Xc]), np.concatenate([Yc, -Yc])
     calls = []
     call = Norm.__call__
