@@ -187,23 +187,22 @@ def extremize_batch(
     return results
 
 
-def bracketed_roots(f, lo: float, hi: float, glo, ghi, floor, halvings: int, *args):
-    """Per row, the final bracket (lo, hi) of the one crossing of f, which is
-    below floor (a scalar or one value per row) before it and not after, from
-    [lo, hi] and the rows' arrays glo = f(lo), ghi = f(hi). f(x, *args) sees
-    the rows still open, args cut to them; f(x) >= floor moves the upper end,
-    else the lower. Steps are ITP's (Oliveira & Takahashi, ACM TOMS 47(1),
-    2020): regula falsi, truncated toward the midpoint by max(0.2 / (hi - lo)
-    * width**2, tol) and projected into the radius that keeps bisection's
-    schedule plus one slack step. A row stops at width <= 2 * tol, the width
-    `halvings` halvings of [lo, hi] leave, after at most halvings + 1 calls."""
+def bracketed_roots(f, lo: float, hi: float, glo, ghi, halvings: int, *args):
+    """Per row, the upper end of the final bracket of the one crossing of f,
+    which is negative before it and not after, from [lo, hi] and the rows'
+    arrays glo = f(lo), ghi = f(hi). f(x, *args) sees the rows still open,
+    args cut to them; f(x) >= 0 moves the upper end, else the lower. Steps
+    are ITP's (Oliveira & Takahashi, ACM TOMS 47(1), 2020): regula falsi,
+    truncated toward the midpoint by max(0.2 / (hi - lo) * width**2, tol) and
+    projected into the radius that keeps bisection's schedule plus one slack
+    step. A row stops at width <= 2 * tol, the width `halvings` halvings of
+    [lo, hi] leave, after at most halvings + 1 calls."""
     glo = np.array(glo, dtype=float)
     n = len(glo)
     ghi = np.array(ghi, dtype=float)
-    floor = np.broadcast_to(floor, n)
     tol = math.ldexp(hi - lo, -halvings - 1)
     k1 = 0.2 / (hi - lo)
-    out_lo, out_hi = np.empty(n), np.empty(n)
+    out = np.empty(n)
     rows = np.arange(n)
     a, b = np.full(n, float(lo)), np.full(n, float(hi))
     width = b - a
@@ -221,7 +220,7 @@ def bracketed_roots(f, lo: float, hi: float, glo, ghi, floor, halvings: int, *ar
         radius = math.ldexp(tol, halvings + 1 - j) - half
         x = mid + np.copysign(np.maximum(np.minimum(np.abs(offset) - step, radius), 0.0), offset)
         fx = f(x, *args)
-        moved = fx >= floor
+        moved = fx >= 0.0
         np.copyto(b, x, where=moved)
         np.copyto(ghi, fx, where=moved)
         np.copyto(a, x, where=~moved)
@@ -229,9 +228,9 @@ def bracketed_roots(f, lo: float, hi: float, glo, ghi, floor, halvings: int, *ar
         width = b - a
         done = width <= 2.0 * tol
         if done.any():
-            out_lo[rows[done]], out_hi[rows[done]] = a[done], b[done]
+            out[rows[done]] = b[done]
             keep = ~done
-            rows, a, b, glo, ghi, floor, width = (v[keep] for v in (rows, a, b, glo, ghi, floor, width))
+            rows, a, b, glo, ghi, width = (v[keep] for v in (rows, a, b, glo, ghi, width))
             args = tuple(v[keep] for v in args)
-    out_lo[rows], out_hi[rows] = a, b
-    return out_lo, out_hi
+    out[rows] = b
+    return out

@@ -290,7 +290,7 @@ def _chord_offsets_rows(
         th, target, side, far, thr_r, floor_r = (a[rows] for a in (thetas, targets, sides, is_far, thr, floor))
         if polygon is None:
             gap = lambda x, th, target, side, thr: _chord_lengths(norm, th, target, side, x) - thr  # noqa: E731
-            u[rows] = bracketed_roots(gap, 0.0, math.pi, gap_lo[rows], gap_hi[rows], 0.0, CHORD_ITERATIONS, th, target, side, thr_r)[1]
+            u[rows] = bracketed_roots(gap, 0.0, math.pi, gap_lo[rows], gap_hi[rows], CHORD_ITERATIONS, th, target, side, thr_r)
         else:
             u[rows] = _polygon_offsets(norm, polygon, th, target, side, far, thr_r, floor_r)
     return u
@@ -746,15 +746,16 @@ def _objective_1d(norm: Norm, points, dual: Norm | None, cone_samples: int, chor
     return objective
 
 
+def _fields_2d(norm: Norm, kind: ModulusKind, eps: float, theta_x, theta_y) -> dict:
+    """x and y of rho or milman at angles theta_x and theta_y (scalars or
+    rows): y is scaled by eps for rho only."""
+    Y = norm.sphere_point(theta_y)
+    return {"x": norm.sphere_point(theta_x), "y": eps * Y if kind.name == "rho" else Y}
+
+
 def _objective_2d(norm: Norm, kind: ModulusKind, eps: float):
     """The two-angle objective of rho or milman on (theta_x, theta_y) rows."""
-
-    def obj(P):
-        Y = norm.sphere_point(P[:, 1])
-        fields = {"x": norm.sphere_point(P[:, 0]), "y": eps * Y if kind.name == "rho" else Y}
-        return _config_value(norm, kind, eps, fields, None)
-
-    return obj
+    return lambda P: _config_value(norm, kind, eps, _fields_2d(norm, kind, eps, P[:, 0], P[:, 1]), None)
 
 
 # -- witnesses -----------------------------------------------------------------
@@ -922,12 +923,11 @@ def _solve_two_angle(norm: Norm, points, grid_n_2d, refine_rounds) -> list:
         res = extremize(
             _objective_2d(norm, kind, eps), box, _mode(kind), grid_n=grid_n_2d, refine_rounds=refine_rounds, extra_points=extras
         )
-        Y = norm.sphere_point(res.point[1])
+        theta_x, theta_y = res.point
         witness = {
-            "theta_x": float(res.point[0]),
-            "theta_y": float(res.point[1]),
-            "x": norm.sphere_point(res.point[0]).tolist(),
-            "y": (eps * Y if kind.name == "rho" else Y).tolist(),
+            "theta_x": float(theta_x),
+            "theta_y": float(theta_y),
+            **{name: field.tolist() for name, field in _fields_2d(norm, kind, eps, theta_x, theta_y).items()},
             "value": float(res.value),
         }
         out.append(CurveSample(eps, float(res.value), int(grid_n_2d), max(float(res.tol), 1e-12), witness))

@@ -133,7 +133,7 @@ def lambda_point_batch(norm: Norm, X: np.ndarray, Y: np.ndarray, eps, tol: float
     lam = np.zeros(X.shape[:-1])
     rows = np.flatnonzero(g0 > tol)
     f = lambda t, y1, x: 1.0 - np.asarray(norm(y1 - t[:, None] * x))  # noqa: E731
-    _, lam[rows] = bracketed_roots(f, 0.0, 1.0, -g0[rows], 1.0 - e[rows], 0.0, LAMBDA_ITERATIONS, y1[rows], X[rows])
+    lam[rows] = bracketed_roots(f, 0.0, 1.0, -g0[rows], 1.0 - e[rows], LAMBDA_ITERATIONS, y1[rows], X[rows])
     return lam
 
 

@@ -1,13 +1,23 @@
 """Inequality suite and conjecture probes over families of planar norms.
 
-Every relation between the moduli — the sandwich bounds tying the
-supporting-hyperplane moduli to the convexity/smoothness curves, the
-Day-Nordlander separations around the Euclidean closed forms, monotonicity,
-and the triangle-inequality envelopes — is run here as a margin check:
+Every relation between the moduli is run here as a margin check:
 ``margin = RHS - LHS`` evaluated over a norm family and an eps-grid, passing
 when every margin stays above ``-(slack + sigma)`` where sigma sums the
 refinement tolerances of the curves involved.  Conjectured relations are
 probed the same way but reported without a verdict.
+
+Most relations come in three families, each built per eps:
+
+- sandwiches (``_sandwich``): lower(a eps) <= mid(eps) <= upper(b eps), tying
+  the supporting-hyperplane moduli to the convexity/smoothness curves;
+- separations (``_separation``): minus(eps) <= g(eps) <= plus(eps), such as
+  the Day-Nordlander separations around the Euclidean value (Nordlander,
+  Ark. Mat. 4, 1960) and the Euclidean closed forms;
+- one-sided bounds (``_below``, ``_above``): the envelopes.
+
+The monotonicity checks and the few relations of other shapes are written
+out. The relations of one check on one norm read all their samples from one
+``ModulusCache.sample_many`` pass.
 
 Checks are registered in a module-level registry keyed by a descriptive id,
 so suites are composable and external code can add its own checks.  Reports
@@ -20,6 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -201,29 +212,24 @@ class _Point:
         }
 
 
-def _eval_relation(norm, relation, cache):
-    margin = relation.constant
-    sigma = 0.0
-    samples = []
-    for term in relation.terms:
-        s = cache.sample(norm, term.kind, term.eps)
-        margin += term.coeff * s.value
-        sigma += abs(term.coeff) * s.refine_tol
-        samples.append((term, s))
-    return float(margin), float(sigma), tuple(samples)
-
-
 def _eval_relations(norm, label, labelled_relations, cache):
+    """Points of (eps, relation) pairs on one norm, with every term read from
+    one sample_many pass. A relation with a term outside its kind's domain is
+    skipped, with the first such term's error as the reason."""
     labelled_relations = list(labelled_relations)
-    cache.sample_many(norm, [(t.kind, t.eps) for _, rel in labelled_relations for t in rel.terms])
+    samples = iter(cache.sample_many(norm, [(t.kind, t.eps) for _, rel in labelled_relations for t in rel.terms]))
     points, skips = [], []
     for eps, relation in labelled_relations:
-        try:
-            margin, sigma, samples = _eval_relation(norm, relation, cache)
-        except DomainError as exc:
-            skips.append({"norm": label, "eps": float(eps), "reason": str(exc)})
+        terms = tuple((term, next(samples)) for term in relation.terms)
+        error = next((s for _, s in terms if isinstance(s, DomainError)), None)
+        if error is not None:
+            skips.append({"norm": label, "eps": float(eps), "reason": str(error)})
             continue
-        points.append(_Point(label, norm, float(eps), margin, sigma, relation, samples))
+        margin, sigma = relation.constant, 0.0
+        for term, s in terms:
+            margin += term.coeff * s.value
+            sigma += abs(term.coeff) * s.refine_tol
+        points.append(_Point(label, norm, float(eps), float(margin), float(sigma), relation, terms))
     return points, skips
 
 
@@ -242,8 +248,10 @@ def replay_witness(witness: dict) -> float:
 
 # -- check registry -----------------------------------------------------------
 
-# relations(eps_grid) -> [(eps_label, Relation)]; evaluate(norm, label, grid,
-# cache) -> (points, skips) for the checks that need norm-dependent handling.
+# relations(eps_grid) -> [(eps_label, Relation)], mostly _pointwise joins of
+# the sandwich, separation and one-sided bound families; evaluate(norm, label,
+# grid, cache) -> (points, skips) for the checks that need norm-dependent
+# handling.
 @dataclass(frozen=True)
 class CheckDef:
     id: str
@@ -487,92 +495,62 @@ _MIL_M = ModulusKind("milman-minus")
 _MIL_P = ModulusKind("milman-plus")
 
 
-def _pointwise(fn):
+def _pointwise(*families):
+    """relations(grid) -> [(eps, Relation)]: at each eps, the relations of
+    every family in turn. A family maps one eps to its list of relations."""
+
     def relations(grid):
-        return [(e, r) for e in grid for r in fn(e)]
+        return [(e, r) for e in grid for family in families for r in family(e)]
 
     return relations
 
 
-def _sandwich(lower: Term, mid: Term, upper: Term, lo_name: str, hi_name: str):
-    """lower <= mid and mid <= upper as two zero-constant relations."""
-    return [
-        Relation(lo_name, 0.0, (Term(1.0, mid.kind, mid.eps), Term(-1.0, lower.kind, lower.eps))),
-        Relation(hi_name, 0.0, (Term(1.0, upper.kind, upper.eps), Term(-1.0, mid.kind, mid.eps))),
-    ]
+def _scaled(a: float) -> str:
+    # the argument a * eps as relation names write it: eps/4, eps, 2 eps
+    if a == 1.0:
+        return "eps"
+    return f"eps/{1.0 / a:g}" if a < 1.0 else f"{a:g} eps"
 
 
-def _rels_rho_lambda_plus(eps):
-    return _sandwich(
-        Term(1, _RHO, eps / 2), Term(1, _LAM_P, eps), Term(1, _RHO, 2 * eps),
-        "rho(eps/2) <= lambda-plus(eps)", "lambda-plus(eps) <= rho(2 eps)",
-    )
+def _sandwich(lower: ModulusKind, a: float, mid: ModulusKind, upper: ModulusKind, b: float):
+    """lower(a eps) <= mid(eps) <= upper(b eps). a and b are powers of two,
+    so a * eps is exact."""
+    lo, mi, hi = lower.token(), mid.token(), upper.token()
+
+    def family(eps):
+        return [
+            Relation(f"{lo}({_scaled(a)}) <= {mi}(eps)", 0.0, (Term(1.0, mid, eps), Term(-1.0, lower, a * eps))),
+            Relation(f"{mi}(eps) <= {hi}({_scaled(b)})", 0.0, (Term(1.0, upper, b * eps), Term(-1.0, mid, eps))),
+        ]
+
+    return family
 
 
-def _rels_delta_lambda_minus(eps):
-    return _sandwich(
-        Term(1, _DELTA, eps), Term(1, _LAM_M, eps), Term(1, _DELTA, 2 * eps),
-        "delta(eps) <= lambda-minus(eps)", "lambda-minus(eps) <= delta(2 eps)",
-    )
+def _separation(minus: ModulusKind, plus: ModulusKind, g: Callable, text: str):
+    """minus(eps) <= g(eps) <= plus(eps), g named text: a Day-Nordlander
+    separation when g is the euclidean value."""
+    lo, hi = minus.token(), plus.token()
+
+    def family(eps):
+        value = g(eps)
+        return [
+            Relation(f"{lo}(eps) <= {text}", value, (Term(-1.0, minus, eps),)),
+            Relation(f"{text} <= {hi}(eps)", -value, (Term(1.0, plus, eps),)),
+        ]
+
+    return family
 
 
-def _rels_lambda_envelope(eps):
-    return [
-        Relation("0 <= lambda-minus(eps)", 0.0, (Term(1.0, _LAM_M, eps),)),
-        Relation("lambda-minus(eps) <= lambda-plus(eps)", 0.0, (Term(1.0, _LAM_P, eps), Term(-1.0, _LAM_M, eps))),
-        Relation("lambda-plus(eps) <= eps", float(eps), (Term(-1.0, _LAM_P, eps),)),
-    ]
+def _below(kind: ModulusKind, g: Callable, text: str):
+    """kind(eps) <= g(eps), g named text."""
+    tok = kind.token()
+    return lambda eps: [Relation(f"{tok}(eps) <= {text}", g(eps), (Term(-1.0, kind, eps),))]
 
 
-def _rels_lambda_day_nordlander(eps):
-    g = 1.0 - math.sqrt(max(0.0, 1.0 - eps * eps))
-    return [
-        Relation("lambda-minus(eps) <= 1-sqrt(1-eps^2)", g, (Term(-1.0, _LAM_M, eps),)),
-        Relation("1-sqrt(1-eps^2) <= lambda-plus(eps)", -g, (Term(1.0, _LAM_P, eps),)),
-    ]
-
-
-def _rels_phi_lambda(sign_kind, lam_kind):
-    def fn(eps):
-        tok = sign_kind.token()
-        return _sandwich(
-            Term(1, lam_kind, eps / 2), Term(1, sign_kind, eps), Term(1, lam_kind, 2 * eps),
-            f"{lam_kind.token()}(eps/2) <= {tok}(eps)", f"{tok}(eps) <= {lam_kind.token()}(2 eps)",
-        )
-
-    return fn
-
-
-def _rels_phi_plus_rho(eps):
-    return _sandwich(
-        Term(1, _RHO, eps / 4), Term(1, _PHI_P, eps), Term(1, _RHO, 4 * eps),
-        "rho(eps/4) <= phi-plus(eps)", "phi-plus(eps) <= rho(4 eps)",
-    )
-
-
-def _rels_phi_minus_delta(eps):
-    return _sandwich(
-        Term(1, _DELTA, eps), Term(1, _PHI_M, eps), Term(1, _DELTA, 4 * eps),
-        "delta(eps) <= phi-minus(eps)", "phi-minus(eps) <= delta(4 eps)",
-    )
-
-
-def _rels_weighted_midpoint_day_nordlander(eps):
-    out = []
-    for t in (0.25, 0.5, 0.75):
-        g = 1.0 - math.sqrt(max(0.0, 1.0 - t * (1.0 - t) * eps * eps))
-        lower, upper = delta_t(t), beta_t(t)
-        out.append(Relation(f"{lower.token()}(eps) <= euclidean value", g, (Term(-1.0, lower, eps),)))
-        out.append(Relation(f"euclidean value <= {upper.token()}(eps)", -g, (Term(1.0, upper, eps),)))
-    return out
-
-
-def _rels_phi_day_nordlander(eps):
-    g = 0.5 * eps * eps
-    return [
-        Relation("phi-minus(eps) <= eps^2/2", g, (Term(-1.0, _PHI_M, eps),)),
-        Relation("eps^2/2 <= phi-plus(eps)", -g, (Term(1.0, _PHI_P, eps),)),
-    ]
+def _above(kind: ModulusKind, g: Callable, text: str):
+    """g(eps) <= kind(eps), g named text; 0.0 - g keeps a zero bound +0.0."""
+    tok = kind.token()
+    return lambda eps: [Relation(f"{text} <= {tok}(eps)", 0.0 - g(eps), (Term(1.0, kind, eps),))]
 
 
 def _rels_zeta_lambda(zeta_kind, lam_kind):
@@ -593,14 +571,6 @@ def _rels_zeta_lambda(zeta_kind, lam_kind):
         ]
 
     return fn
-
-
-def _rels_zeta_day_nordlander(eps):
-    g = math.sqrt(1.0 + eps * eps)
-    return [
-        Relation("zeta-minus(eps) <= sqrt(1+eps^2)", g, (Term(-1.0, _ZETA_M, eps),)),
-        Relation("sqrt(1+eps^2) <= zeta-plus(eps)", -g, (Term(1.0, _ZETA_P, eps),)),
-    ]
 
 
 def _monotone_relations(kind: ModulusKind, grid):
@@ -629,21 +599,6 @@ def _rels_gamma_minus_phi(eps):
         Relation("2 phi-minus(eps/4) <= gamma-minus(eps/4)", 0.0, (Term(1.0, _GAM_M, q), Term(-2.0, _PHI_M, q))),
         Relation("gamma-minus(eps/4) <= phi-minus(eps)", 0.0, (Term(1.0, _PHI_M, eps), Term(-1.0, _GAM_M, q))),
     ]
-
-
-def _rels_zeta_envelope(eps):
-    return [
-        Relation("1 <= zeta-minus(eps)", -1.0, (Term(1.0, _ZETA_M, eps),)),
-        Relation("zeta-plus(eps) <= 1 + eps", 1.0 + eps, (Term(-1.0, _ZETA_P, eps),)),
-    ]
-
-
-def _rels_gamma_plus_envelope(eps):
-    return [Relation("gamma-plus(eps) <= 2 eps", 2.0 * eps, (Term(-1.0, _GAM_P, eps),))]
-
-
-def _rels_d_plus_envelope(eps):
-    return [Relation("d-plus(eps) <= 2", 2.0, (Term(-1.0, _D_P, eps),))]
 
 
 def _rels_phi_plus_chord_relaxation(grid):
@@ -693,12 +648,8 @@ def _eval_closed_forms(norm, label, eps_grid, cache):
         return [], [{"norm": label, "eps": None, "reason": "closed forms hold in the euclidean plane only"}]
     labelled = []
     for kind in _CLOSED_FORM_KINDS:
-        tok = kind.token()
-        lo, hi = _tested_domain(kind)
-        for eps in _nudged_grid(lo, hi, len(eps_grid)):
-            ref = hilbert_reference(kind, eps)
-            labelled.append((eps, Relation(f"{tok}(eps) <= closed form", ref, (Term(-1.0, kind, eps),))))
-            labelled.append((eps, Relation(f"closed form <= {tok}(eps)", -ref, (Term(1.0, kind, eps),))))
+        closed_form = _separation(kind, kind, partial(hilbert_reference, kind), "closed form")
+        labelled += _pointwise(closed_form)(_nudged_grid(*_tested_domain(kind), len(eps_grid)))
     return _eval_relations(norm, label, labelled, cache)
 
 
@@ -734,34 +685,45 @@ def _register_builtin_checks():
     defs = [
         CheckDef("rho-lambda-plus-sandwich", "inequality",
                  "smoothness curve encloses the supporting sagitta sup", (0.0, 0.5),
-                 relations=_pointwise(_rels_rho_lambda_plus)),
+                 relations=_pointwise(_sandwich(_RHO, 0.5, _LAM_P, _RHO, 2.0))),
         CheckDef("delta-lambda-minus-sandwich", "inequality",
                  "convexity curve encloses the supporting sagitta inf", (0.0, 1.0),
-                 relations=_pointwise(_rels_delta_lambda_minus)),
+                 relations=_pointwise(_sandwich(_DELTA, 1.0, _LAM_M, _DELTA, 2.0))),
         CheckDef("lambda-envelope", "inequality",
                  "0 <= lambda-minus <= lambda-plus <= eps", (0.0, 1.0),
-                 relations=_pointwise(_rels_lambda_envelope)),
+                 relations=_pointwise(
+                     _above(_LAM_M, lambda e: 0.0, "0"),
+                     lambda e: [
+                         Relation("lambda-minus(eps) <= lambda-plus(eps)", 0.0, (Term(1.0, _LAM_P, e), Term(-1.0, _LAM_M, e)))
+                     ],
+                     _below(_LAM_P, lambda e: e, "eps"),
+                 )),
         CheckDef("lambda-day-nordlander", "inequality",
                  "the euclidean sagitta separates lambda-minus from lambda-plus", (0.0, 1.0),
-                 relations=_pointwise(_rels_lambda_day_nordlander)),
+                 relations=_pointwise(
+                     _separation(_LAM_M, _LAM_P, lambda e: 1.0 - math.sqrt(max(0.0, 1.0 - e * e)), "1-sqrt(1-eps^2)")
+                 )),
         CheckDef("phi-minus-lambda-sandwich", "inequality",
                  "cathetus inf vs supporting sagitta inf at doubled arguments", (0.0, 0.5),
-                 relations=_pointwise(_rels_phi_lambda(_PHI_M, _LAM_M))),
+                 relations=_pointwise(_sandwich(_LAM_M, 0.5, _PHI_M, _LAM_M, 2.0))),
         CheckDef("phi-plus-lambda-sandwich", "inequality",
                  "cathetus sup vs supporting sagitta sup at doubled arguments", (0.0, 0.5),
-                 relations=_pointwise(_rels_phi_lambda(_PHI_P, _LAM_P))),
+                 relations=_pointwise(_sandwich(_LAM_P, 0.5, _PHI_P, _LAM_P, 2.0))),
         CheckDef("phi-plus-rho-sandwich", "inequality",
                  "cathetus sup vs smoothness curve at quadrupled arguments", (0.0, 0.5),
-                 relations=_pointwise(_rels_phi_plus_rho)),
+                 relations=_pointwise(_sandwich(_RHO, 0.25, _PHI_P, _RHO, 4.0))),
         CheckDef("phi-minus-delta-sandwich", "inequality",
                  "cathetus inf vs convexity curve at quadrupled arguments", (0.0, 0.5),
-                 relations=_pointwise(_rels_phi_minus_delta)),
+                 relations=_pointwise(_sandwich(_DELTA, 1.0, _PHI_M, _DELTA, 4.0))),
         CheckDef("weighted-midpoint-day-nordlander", "inequality",
                  "weighted midpoint depth separates around the euclidean value", (0.0, 2.0),
-                 relations=_pointwise(_rels_weighted_midpoint_day_nordlander)),
+                 relations=_pointwise(*(
+                     _separation(delta_t(t), beta_t(t), partial(hilbert_reference, delta_t(t)), "euclidean value")
+                     for t in (0.25, 0.5, 0.75)
+                 ))),
         CheckDef("phi-day-nordlander", "inequality",
                  "eps^2/2 separates the cathetus moduli", (0.0, 2.0),
-                 relations=_pointwise(_rels_phi_day_nordlander)),
+                 relations=_pointwise(_separation(_PHI_M, _PHI_P, lambda e: 0.5 * e * e, "eps^2/2"))),
         CheckDef("zeta-lambda-sandwich-minus", "inequality",
                  "hypotenuse inf minus one vs supporting sagitta inf", (0.0, 1.0),
                  relations=_pointwise(_rels_zeta_lambda(_ZETA_M, _LAM_M))),
@@ -770,7 +732,7 @@ def _register_builtin_checks():
                  relations=_pointwise(_rels_zeta_lambda(_ZETA_P, _LAM_P))),
         CheckDef("zeta-day-nordlander", "inequality",
                  "sqrt(1+eps^2) separates the hypotenuse moduli", (0.0, 1.0),
-                 relations=_pointwise(_rels_zeta_day_nordlander)),
+                 relations=_pointwise(_separation(_ZETA_M, _ZETA_P, lambda e: math.sqrt(1.0 + e * e), "sqrt(1+eps^2)"))),
         CheckDef("gamma-monotone", "monotonicity",
                  "duality-mapping moduli are nondecreasing", (0.0, 2.0),
                  relations=_rels_gamma_monotone),
@@ -782,13 +744,13 @@ def _register_builtin_checks():
                  relations=_pointwise(_rels_gamma_minus_phi)),
         CheckDef("zeta-envelope", "inequality",
                  "1 <= zeta-minus and zeta-plus <= 1 + eps", (0.0, 1.0),
-                 relations=_pointwise(_rels_zeta_envelope)),
+                 relations=_pointwise(_above(_ZETA_M, lambda e: 1.0, "1"), _below(_ZETA_P, lambda e: 1.0 + e, "1 + eps"))),
         CheckDef("gamma-plus-envelope", "inequality",
                  "gamma-plus(eps) <= 2 eps", (0.0, 2.0),
-                 relations=_pointwise(_rels_gamma_plus_envelope)),
+                 relations=_pointwise(_below(_GAM_P, lambda e: 2.0 * e, "2 eps"))),
         CheckDef("d-plus-envelope", "inequality",
                  "dual distances never exceed the dual diameter", (0.0, 2.0),
-                 relations=_pointwise(_rels_d_plus_envelope)),
+                 relations=_pointwise(_below(_D_P, lambda e: 2.0, "2"))),
         CheckDef("monotone-kinds", "monotonicity",
                  "midpoint, sagitta, cathetus, and hypotenuse moduli are nondecreasing", (0.0, 2.0),
                  relations=_rels_monotone_kinds),
@@ -819,14 +781,13 @@ def gamma_monotonicity_check(norm: Norm, eps_grid: Sequence[float], *, settings:
         raise InputError("eps grid must be sorted ascending")
     if len(grid) < 2:
         return math.inf
-    cache = ModulusCache(settings or SuiteSettings())
-    kinds = (_GAM_M, _GAM_P)
-    cache.sample_many(norm, [(kind, e) for kind in kinds for e in grid])
-    worst = math.inf
-    for kind in kinds:
-        values = [cache.sample(norm, kind, e).value for e in grid]
-        worst = min(worst, min(b - a for a, b in zip(values, values[1:])))
-    return float(worst)
+    samples = ModulusCache(settings or SuiteSettings()).sample_many(norm, [(kind, e) for kind in (_GAM_M, _GAM_P) for e in grid])
+    for s in samples:
+        if isinstance(s, Exception):
+            raise s
+    n = len(grid)
+    values = [s.value for s in samples]
+    return float(min(b - a for v in (values[:n], values[n:]) for a, b in zip(v, v[1:])))
 
 
 # -- conjecture probes --------------------------------------------------------
@@ -891,21 +852,6 @@ def _sample_family(family: str, count: int, rng: np.random.Generator):
     return norms, resampled
 
 
-def _rels_gamma_squeeze(eps):
-    e2 = eps * eps
-    return [
-        Relation("gamma-minus(eps) <= eps^2", e2, (Term(-1.0, _GAM_M, eps),)),
-        Relation("eps^2 <= gamma-plus(eps)", -e2, (Term(1.0, _GAM_P, eps),)),
-    ]
-
-
-def _rels_dual_distance_squeeze(eps):
-    return [
-        Relation("d-minus(eps) <= eps", eps, (Term(-1.0, _D_M, eps),)),
-        Relation("eps <= d-plus(eps)", -eps, (Term(1.0, _D_P, eps),)),
-    ]
-
-
 def _rels_milman_zeta(eps):
     out = []
     for zeta, mil in ((_ZETA_M, _MIL_M), (_ZETA_P, _MIL_P)):
@@ -918,8 +864,10 @@ def _rels_milman_zeta(eps):
 
 
 _PROBES = (
-    ("gamma-squeeze-probe", "eps^2 between the duality-mapping moduli", (0.0, 2.0), _rels_gamma_squeeze),
-    ("dual-distance-squeeze-probe", "eps between the dual-distance moduli", (0.0, 2.0), _rels_dual_distance_squeeze),
+    ("gamma-squeeze-probe", "eps^2 between the duality-mapping moduli", (0.0, 2.0),
+     _separation(_GAM_M, _GAM_P, lambda e: e * e, "eps^2")),
+    ("dual-distance-squeeze-probe", "eps between the dual-distance moduli", (0.0, 2.0),
+     _separation(_D_M, _D_P, lambda e: e, "eps")),
     ("milman-zeta-probe", "milman moduli agree with the quasi-orthogonal hypotenuse", (0.0, 1.0), _rels_milman_zeta),
 )
 
@@ -953,7 +901,7 @@ def probe_conjectures(
         per_norm = []
         worst_point = None
         for label, norm in norms:
-            points, _ = _eval_relations(norm, label, [(e, r) for e in grid for r in rel_fn(e)], cache)
+            points, _ = _eval_relations(norm, label, _pointwise(rel_fn)(grid), cache)
             w = min(points, key=lambda p: p.margin)
             per_norm.append(
                 {

@@ -1,5 +1,6 @@
 """Tests for the inequality suite, check registry, and conjecture probes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -349,3 +350,56 @@ def test_relations_prefetch_keeps_skip_reasons():
     points, skips = _eval_relations(SQUARE, "lp:inf", labelled, ModulusCache(LIGHT))
     assert [p.relation.name for p in points] == ["ok"]
     assert skips == [{"norm": "lp:inf", "eps": 1.5, "reason": "eps=3.0 outside [0.0, 2.0] for kind delta"}]
+
+
+def test_relations_take_one_sample_pass(monkeypatch):
+    calls = []
+    real = ModulusCache.sample_many
+
+    def counted(self, norm, pairs):
+        calls.append(len(pairs))
+        return real(self, norm, pairs)
+
+    monkeypatch.setattr(ModulusCache, "sample_many", counted)
+    labelled = verify._REGISTRY["delta-lambda-minus-sandwich"].relations((0.3, 0.6))
+    points, skips = _eval_relations(EUCLID, "euclidean", labelled, ModulusCache(LIGHT))
+    assert calls == [8]  # two relations of two terms at each eps
+    assert len(points) == 4 and skips == []
+
+
+# -- the built-in relations --------------------------------------------------------
+
+# sha256 of every built-in relation over grids of 1, 2, 3, 9 and 33 points:
+# each default check that has relations, the euclidean closed forms and the
+# probes, in order, floats by their hex form
+BUILTIN_RELATIONS_SHA256 = "13e92526c7aa0b02ea74712ce7904086e507ac95ae45acf3d86560e579e6ad77"
+
+
+def _relation_lines(source, labelled):
+    for eps, rel in labelled:
+        terms = ",".join(f"{float(t.coeff).hex()}*{t.kind.token()}@{float(t.eps).hex()}" for t in rel.terms)
+        yield f"{source}|{float(eps).hex()}|{rel.name}|{float(rel.constant).hex()}|{terms}"
+
+
+def test_builtin_relations_are_unchanged(monkeypatch):
+    recorded = []
+
+    def record(norm, label, labelled, cache):
+        recorded.append(list(labelled))
+        return [], []
+
+    monkeypatch.setattr(verify, "_eval_relations", record)
+    closed_forms = verify._REGISTRY["euclid-closed-forms"]
+    lines = []
+    for n in (1, 2, 3, 9, 33):
+        for spec in default_suite([EUCLID], eps_points=n):
+            relations = verify._REGISTRY[spec.id].relations
+            if relations is not None:
+                lines.extend(_relation_lines(spec.id, relations(spec.eps_grid)))
+        (spec,) = default_suite([EUCLID], eps_points=n, checks=["euclid-closed-forms"])
+        closed_forms.evaluate(EUCLID, "euclidean", spec.eps_grid, None)
+        lines.extend(_relation_lines(spec.id, recorded.pop()))
+        for pid, _doc, (lo, hi), rel_fn in verify._PROBES:
+            lines.extend(_relation_lines(pid, [(e, r) for e in verify._nudged_grid(lo, hi, n) for r in rel_fn(e)]))
+    assert len(lines) == 4774
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BUILTIN_RELATIONS_SHA256
