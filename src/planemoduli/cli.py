@@ -240,7 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--norm", required=True, help="euclidean | lp:p | weighted-lp:p:w1:w2 | polygon:file | named | JSON")
     c.add_argument("--modulus", required=True, help="modulus kind token, e.g. phi-minus or delta-t:0.25")
     c.add_argument("--eps", required=True, help="single value or inclusive range a:b:step")
-    c.add_argument("--grid-n", type=int, default=1024, help="sphere grid resolution (default 1024)")
+    c.add_argument(
+        "--grid-n", type=int, default=1024, help="coarse angle scan, in points per full turn; at least 64 (default 1024)"
+    )
     c.add_argument("--refine-rounds", type=int, default=6, help="local refinement rounds (default 6)")
     c.add_argument("--cone-samples", type=int, default=17, help="directions per quasi-normal cone (default 17)")
     c.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -255,10 +257,20 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--slack", type=float, default=1e-3, help="additive tolerance on margins (default 1e-3)")
     v.add_argument("--eps-points", type=int, default=33, help="eps samples per check domain (default 33)")
     defaults = SuiteSettings()
-    v.add_argument("--grid-n", type=int, default=defaults.grid_n)
+    v.add_argument(
+        "--grid-n",
+        type=int,
+        default=defaults.grid_n,
+        help=f"coarse angle scan, in points per full turn; at least 64 (default {defaults.grid_n})",
+    )
     v.add_argument("--refine-rounds", type=int, default=defaults.refine_rounds)
     v.add_argument("--cone-samples", type=int, default=defaults.cone_samples)
-    v.add_argument("--grid-n-2d", type=int, default=defaults.grid_n_2d)
+    v.add_argument(
+        "--grid-n-2d",
+        type=int,
+        default=defaults.grid_n_2d,
+        help=f"rho and milman scans, in points per full turn on each axis; at least 64 (default {defaults.grid_n_2d})",
+    )
     v.add_argument("--seed", type=int, help="recorded in the report metadata")
     v.add_argument("--out", help="report JSON path (default: stdout)")
     v.set_defaults(func=cmd_verify)

@@ -19,9 +19,18 @@ quasi-orthogonal to x:
 Every extremization is the deterministic grid-refine scheme from
 :mod:`planemoduli.engine`, with polygon vertex angles (and the angles whose
 chord partner is a vertex) injected into the coarse scan so non-smooth
-extremal configurations are hit exactly. ``modulus_batch`` solves the
-single-angle points of one norm in lockstep, one objective call per engine
-step for all of them, with the same results as one ``modulus`` call per point.
+extremal configurations are hit exactly. Every norm here is origin-symmetric,
+so every objective is pi-periodic in each angle: (x, z) -> (-x, -z) keeps
+every single-angle value, the lambda and zeta kinds take both signs of y,
+and rho and milman are pi-periodic in theta_x and in theta_y. The searches
+therefore run over the half turn [0, pi), and over [0, pi)^2 for rho and
+milman. grid_n (and grid_n_2d) counts points per full turn: a search puts
+max(64, ceil(grid_n / 2)) points on the half turn, the spacing 2 pi / grid_n
+of a full-turn scan (for an even grid_n its cell centres are the first half
+of the full turn's), with the engine's minimum of 64 points per axis.
+``modulus_batch`` solves the single-angle points of one norm in lockstep, one
+objective call per engine step for all of them, with the same results as one
+``modulus`` call per point.
 The chords ||x - z|| = eps and lambda are solved per row by the engine's
 bracketed_roots, and the chords on polygonal norms in closed form.
 
@@ -237,6 +246,12 @@ _ALL_PAST = _bisected_ends(True)
 _NONE_PAST = _bisected_ends(False)
 
 
+# crossing rows solved at once by _polygon_offsets: its (vertices, rows)
+# temporaries stay small enough for the allocator to reuse, where larger
+# ones were mapped and faulted in afresh on every call
+_POLYGON_CHUNK = 1024
+
+
 def _chord_offsets_rows(
     norm: Norm, thetas: np.ndarray, targets: np.ndarray, eps, sides: np.ndarray, is_far: np.ndarray
 ) -> np.ndarray:
@@ -292,7 +307,9 @@ def _chord_offsets_rows(
             gap = lambda x, th, target, side, thr: _chord_lengths(norm, th, target, side, x) - thr  # noqa: E731
             u[rows] = bracketed_roots(gap, 0.0, math.pi, gap_lo[rows], gap_hi[rows], CHORD_ITERATIONS, th, target, side, thr_r)
         else:
-            u[rows] = _polygon_offsets(norm, polygon, th, target, side, far, thr_r, floor_r)
+            for lo in range(0, rows.size, _POLYGON_CHUNK):
+                c = slice(lo, lo + _POLYGON_CHUNK)
+                u[rows[c]] = _polygon_offsets(norm, polygon, th[c], target[c], side[c], far[c], thr_r[c], floor_r[c])
     return u
 
 
@@ -449,14 +466,31 @@ def _chord_scans(norm: Norm, requests) -> list[_ChordScan]:
 
 
 def _partner_angles(norm: Norm, base: np.ndarray, eps_values) -> list[np.ndarray]:
-    """Per eps, the angles whose near chord partner at distance eps is the
-    sphere point at a base angle, on both arc sides, in one chord solve."""
+    """Per eps, the angles mod pi whose near chord partner at distance eps is
+    the sphere point at a base angle, on both arc sides, in one chord solve."""
     n, m = len(base), len(eps_values)
     sides = np.tile(np.repeat([1.0, -1.0], n), m)
     th = np.tile(base, 2 * m)
     targets = np.tile(norm.sphere_point(base), (2 * m, 1))
     u = _chord_offsets_rows(norm, th, targets, np.repeat(eps_values, 2 * n), sides, np.zeros(2 * n * m, dtype=bool))
-    return np.split(np.mod(th + sides * u, 2.0 * np.pi), m)
+    return np.split(np.mod(th + sides * u, math.pi), m)
+
+
+def _half_turn_vertices(norm: Norm) -> np.ndarray:
+    """The vertex angles of a polygonal norm mod pi, one per antipodal pair
+    (empty for a smooth norm): the vertices are listed with v[i + n/2] =
+    -v[i], so the first half of them holds each pair once."""
+    angles = norm.special_angles()
+    return np.mod(angles[: len(angles) // 2], math.pi)
+
+
+def _half_turn_points(grid_n) -> int:
+    """Coarse points per axis on the half turn [0, pi) for grid_n points per
+    full turn: the full turn's spacing 2 pi / grid_n, and at least the
+    engine's 64. grid_n itself must be at least 64, as on a full turn."""
+    if int(grid_n) < 64:
+        raise InputError("grid_n must be at least 64 per dimension")
+    return max(64, -(-int(grid_n) // 2))
 
 
 class ChordScans:
@@ -504,11 +538,14 @@ class ChordScans:
         return out
 
     def partner_angles(self, norm: Norm, eps_values) -> list:
-        """Per eps, the coarse-scan angles whose chord partner at distance eps
-        lands exactly on a polygon vertex (empty for smooth norms). The eps
-        values not kept yet are solved in one call."""
+        """Per eps, the coarse-scan angles, mod pi, whose chord partner at
+        distance eps lands exactly on a polygon vertex (empty for smooth
+        norms). The search runs over the half turn, so only the partners of
+        one vertex per antipodal pair are solved: the partners of -v are
+        those of v turned by pi. The eps values not kept yet are solved in
+        one call."""
         nkey = norm_key(norm)
-        base = np.mod(norm.special_angles(), 2.0 * np.pi)
+        base = _half_turn_vertices(norm)
         if base.size == 0:
             return [base] * len(eps_values)
         missing = [e for e in dict.fromkeys(eps_values) if (nkey, e) not in self._partners]
@@ -799,8 +836,12 @@ def modulus(
 ) -> CurveSample:
     """One point of a modulus curve, with its extremal witness.
 
-    grid_n is the coarse angular resolution for single-angle kinds; the
-    two-angle kinds (rho, milman) scan a grid_n_2d x grid_n_2d product grid.
+    grid_n is the coarse angular resolution for single-angle kinds, in
+    points per full turn; the two-angle kinds (rho, milman) scan a product
+    grid of grid_n_2d points per full turn on each axis. Every norm is
+    origin-symmetric, so the searches run over the half turn [0, pi), and
+    over [0, pi)^2, with max(64, ceil(grid_n / 2)) points per axis (see the
+    module docstring). Both must be at least 64.
     chord_scans lets the chord kinds of one run share their coarse chord
     solve (see ChordScans); without it each call solves its own. This is
     modulus_batch for a single point, raising the error it would return.
@@ -885,9 +926,10 @@ def _solve(norm: Norm, points, grid_n, refine_rounds, cone_samples, grid_n_2d, c
 
 
 def _solve_one_angle(norm: Norm, points, grid_n, refine_rounds, cone_samples, scans: ChordScans) -> list:
-    """The single-angle points as one lockstep batch (see modulus_batch)."""
-    two_pi = 2.0 * math.pi
-    base = np.mod(norm.special_angles(), two_pi)
+    """The single-angle points as one lockstep batch (see modulus_batch),
+    each searched over the half turn [0, pi)."""
+    half_n = _half_turn_points(grid_n)
+    base = _half_turn_vertices(norm)
     chord_eps = [eps for kind, eps in points if kind.name not in _QN_KINDS]
     partners = dict(zip(chord_eps, scans.partner_angles(norm, chord_eps)))
     problems = []
@@ -895,10 +937,10 @@ def _solve_one_angle(norm: Norm, points, grid_n, refine_rounds, cone_samples, sc
         # polygon vertices, and for the chord kinds the angles whose chord
         # partner is a vertex, are injected into the coarse scan
         extra = base if kind.name in _QN_KINDS else np.concatenate([base, partners[eps]])
-        problems.append(Problem([(0.0, two_pi)], _mode(kind), extra[:, None] if extra.size else None))
+        problems.append(Problem([(0.0, math.pi)], _mode(kind), extra[:, None] if extra.size else None))
     dual = norm.dual() if any(kind.name.startswith("d-") for kind, _ in points) else None
     objective = _objective_1d(norm, points, dual, cone_samples, lambda r: scans.chords(norm, grid_n, r))
-    results = _extremize_all(objective, problems, grid_n=grid_n, refine_rounds=refine_rounds)
+    results = _extremize_all(objective, problems, grid_n=half_n, refine_rounds=refine_rounds)
     witnesses = _describe_theta(norm, points, [float(res.point[0]) for res in results], dual, cone_samples)
     return [
         CurveSample(eps, float(res.value), int(grid_n), max(float(res.tol), 1e-12), witness)
@@ -907,27 +949,32 @@ def _solve_one_angle(norm: Norm, points, grid_n, refine_rounds, cone_samples, sc
 
 
 def _solve_two_angle(norm: Norm, points, grid_n_2d, refine_rounds) -> list:
-    """rho and milman points, each searched on its own. Their coarse scans
-    are already thousands of rows, and a lockstep batch, which holds the
-    coarse grids of all its searches at once, raised the peak memory without
-    a measurable speed-up."""
-    two_pi = 2.0 * math.pi
-    sp = np.mod(norm.special_angles(), two_pi)
+    """rho and milman points, each searched on its own over [0, pi)^2: both
+    are pi-periodic in theta_x and in theta_y, since the norm is
+    origin-symmetric, and the grid has max(64, ceil(grid_n_2d / 2)) points
+    per axis, the spacing of grid_n_2d points per full turn. Their coarse
+    scans are already thousands of rows, and a lockstep batch, which holds
+    the coarse grids of all its searches at once, raised the peak memory
+    without a measurable speed-up. The witness fields are built from
+    one-row angle arrays, as the objective builds them: a scalar angle can
+    give a sphere point with other last bits."""
+    half_n = _half_turn_points(grid_n_2d)
+    sp = _half_turn_vertices(norm)
     extras = None
     if sp.size:
         A, B = np.meshgrid(sp, sp, indexing="ij")
         extras = np.stack([A.ravel(), B.ravel()], axis=-1)
-    box = [(0.0, two_pi), (0.0, two_pi)]
+    box = [(0.0, math.pi), (0.0, math.pi)]
     out = []
     for kind, eps in points:
         res = extremize(
-            _objective_2d(norm, kind, eps), box, _mode(kind), grid_n=grid_n_2d, refine_rounds=refine_rounds, extra_points=extras
+            _objective_2d(norm, kind, eps), box, _mode(kind), grid_n=half_n, refine_rounds=refine_rounds, extra_points=extras
         )
-        theta_x, theta_y = res.point
+        theta_x, theta_y = res.point[:1], res.point[1:]
         witness = {
-            "theta_x": float(theta_x),
-            "theta_y": float(theta_y),
-            **{name: field.tolist() for name, field in _fields_2d(norm, kind, eps, theta_x, theta_y).items()},
+            "theta_x": float(theta_x[0]),
+            "theta_y": float(theta_y[0]),
+            **{name: field[0].tolist() for name, field in _fields_2d(norm, kind, eps, theta_x, theta_y).items()},
             "value": float(res.value),
         }
         out.append(CurveSample(eps, float(res.value), int(grid_n_2d), max(float(res.tol), 1e-12), witness))

@@ -34,7 +34,7 @@ from planemoduli import (
 from planemoduli import moduli
 from planemoduli import modulus_batch
 from planemoduli.moduli import KIND_NAMES, ChordScans, CurveSample, _objective_1d, _objective_2d, kind_domain
-from planemoduli.verify import ModulusCache, SuiteSettings, _sample_family, _sample_polygon, standard_norms
+from planemoduli.verify import ModulusCache, SuiteSettings, _sample_family, _sample_polygon, norm_label, standard_norms
 
 EUCLID = euclidean_norm()
 SQUARE = lp_norm("inf")
@@ -609,8 +609,10 @@ SCAN_SETTINGS = SuiteSettings(grid_n=96, refine_rounds=3, cone_samples=9, grid_n
 
 
 def _coarse_rows(norm):
-    # the grid, the vertex angles and the two chord-partner angles per vertex
-    return SCAN_SETTINGS.grid_n + 3 * len(norm.special_angles())
+    # the half-turn grid, with the spacing of grid_n points per full turn and
+    # at least 64 points, then per antipodal vertex pair its angle and the two
+    # chord-partner angles
+    return max(64, -(-SCAN_SETTINGS.grid_n // 2)) + 3 * (len(norm.special_angles()) // 2)
 
 
 @pytest.mark.parametrize("norm", ROW_NORMS, ids=("lp3", "hexagon", "random-polygon"))
@@ -636,7 +638,7 @@ def test_chord_kinds_bisect_the_coarse_grid_once(norm, monkeypatch):
     monkeypatch.setattr(moduli, "_chord_offsets_rows", counted)
     # two branches on lp3, four on the polygons
     coarse_rows = len(moduli._chord_branches(norm)) * _coarse_rows(norm)
-    partner_rows = 2 * len(norm.special_angles())
+    partner_rows = 2 * (len(norm.special_angles()) // 2)
     # one kind at a time, and all ten kinds as one batch
     for fill in (
         lambda cache: [cache.sample(norm, K(token), eps) for token in CHORD_TOKENS],
@@ -694,6 +696,15 @@ def test_chord_scans_are_read_only_and_keyed_on_exact_eps():
     assert a is b and len(scans) == 3
 
 
+def test_polygon_chord_chunks_keep_the_bits(monkeypatch):
+    # the closed-form polygon chords are solved in chunks of rows; each row
+    # depends on itself alone, so any chunking gives the same samples
+    points = [(K(token), eps) for token in CHORD_TOKENS for eps in (0.7, 1.6)]
+    whole = modulus_batch(ROW_NORMS[2], points, **BATCH_SETTINGS)
+    monkeypatch.setattr(moduli, "_POLYGON_CHUNK", 7)
+    assert modulus_batch(ROW_NORMS[2], points, **BATCH_SETTINGS) == whole
+
+
 # norms whose sharp vertices round the evaluated chord to the antipode below 2
 SHARP_NORMS = (
     weighted_lp_norm(1, 1e4, 1e-4),
@@ -717,6 +728,87 @@ def test_every_chord_kind_has_a_value_at_the_diameter(norm):
     (scan,) = scans.chords(norm, 64, [(2.0, thetas)])
     assert len(scans) == 1 and scans.chords(norm, 64, [(2.0, thetas.copy())])[0] is scan
     assert scans.chords(norm, 64, []) == [] and scans.partner_angles(norm, []) == []
+
+
+# -- the half-turn search ----------------------------------------------------------
+
+
+def test_grid_below_the_floor_is_rejected():
+    # a half turn gets max(64, ceil(grid_n / 2)) points, which would accept
+    # grid_n = 63 silently: the API and the CLI still reject it
+    from planemoduli.cli import main
+
+    message = "grid_n must be at least 64 per dimension"
+    with pytest.raises(InputError, match=message):
+        modulus(HEXAGON, K("delta"), 0.5, grid_n=63)
+    with pytest.raises(InputError, match=message):
+        modulus(HEXAGON, K("rho"), 0.5, grid_n_2d=63)
+    with pytest.raises(InputError, match=message):
+        modulus_batch(HEXAGON, [(K("delta"), 0.5), (K("phi-plus"), 0.5)], grid_n=63)
+    with pytest.raises(InputError, match=message):
+        modulus_batch(HEXAGON, [(K("rho"), 0.5), (K("milman-minus"), 0.5)], grid_n_2d=63)
+    assert main(["compute", "--norm", "hexagon", "--modulus", "delta", "--eps", "0.5", "--grid-n", "63"]) == 2
+
+
+def test_kept_chord_scan_is_the_first_half_of_the_full_turn_grid():
+    # the half turn keeps the full turn's spacing, not its point count: its
+    # cell centres are the first grid_n / 2 of the full turn's, bit for bit,
+    # followed by one vertex angle per antipodal pair and its two partners
+    settings = SuiteSettings()
+    scans = ChordScans()
+    modulus(HEXAGON, K("phi-plus"), 0.7, **settings.modulus_kwargs(), chord_scans=scans)
+    (scan,) = scans._scans.values()
+    half = settings.grid_n // 2
+    grid = (np.arange(half) + 0.5) * (2.0 * math.pi / settings.grid_n)
+    assert scan.thetas[:half].tobytes() == grid.tobytes()
+    assert len(scan.thetas) == half + 3 * 3
+    assert np.all((scan.thetas >= 0.0) & (scan.thetas < math.pi))
+
+
+def test_two_angle_witnesses_replay_their_sample_values():
+    # the rho and milman witnesses record the configuration the objective
+    # valued, so that replaying them gives the sample value bit for bit
+    settings = SuiteSettings()
+    points = [(K(token), eps) for token in ("rho", "milman-minus", "milman-plus") for eps in (0.3, 0.9, 1.5)]
+    off = []
+    for norm in standard_norms():
+        for (kind, eps), s in zip(points, modulus_batch(norm, points, **settings.modulus_kwargs())):
+            assert 0.0 <= s.witness["theta_x"] <= math.pi and 0.0 <= s.witness["theta_y"] <= math.pi
+            if reevaluate_witness(norm, kind, eps, s.witness) != s.value:
+                off.append((norm_label(norm), kind.token(), eps))
+    assert off == []
+
+
+@pytest.mark.parametrize("token", ("rho", "milman-minus", "milman-plus"))
+def test_two_angle_witness_is_built_as_the_objective_builds_rows(token, monkeypatch):
+    # a sphere point can have other last bits at a scalar angle than at the
+    # same angle in an array; the search is pointed at such angles, and its
+    # witness must still replay to the value the objective gave them
+    norm = lp_norm(1.5)
+    off = [t for t in np.linspace(0.1, 3.0, 400) if not np.array_equal(norm.sphere_point(t), norm.sphere_point(np.array([t]))[0])]
+    assert len(off) >= 2
+    search = moduli.extremize
+
+    def pointed(objective, *args, **kwargs):
+        res = search(objective, *args, **kwargs)
+        P = np.array([off[:2]])
+        return type(res)(float(objective(P)[0]), P[0], res.tol, res.n_evals)
+
+    monkeypatch.setattr(moduli, "extremize", pointed)
+    sample = modulus(norm, K(token), 0.7, grid_n_2d=64, refine_rounds=1)
+    assert reevaluate_witness(norm, K(token), 0.7, sample.witness) == sample.value
+
+
+def test_isometric_weighted_lp_matches_lp_on_milman_minus():
+    # a diagonal map takes lp:3 onto its weighted copy, so their moduli agree;
+    # over the full turn the kept cells held antipodal copies and missed the
+    # extreme on one of them by up to 4.7e-3
+    settings = SuiteSettings().modulus_kwargs()
+    weighted = weighted_lp_norm(3, 1.3, 0.7)
+    for eps in (0.3, 0.9, 1.5):
+        a = modulus(LP3, K("milman-minus"), eps, **settings).value
+        b = modulus(weighted, K("milman-minus"), eps, **settings).value
+        assert abs(a - b) <= 1e-12, (eps, a, b)
 
 
 # -- witnesses --------------------------------------------------------------------

@@ -203,7 +203,7 @@ def test_false_phi_minus_claim_has_margin_minus_one():
     assert rec.worst_margin == pytest.approx(-1.0, abs=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="sigma is a refine_tol estimate, not a bound, and excuses the false claim (ROADMAP item 3)")
+@pytest.mark.xfail(strict=True, reason="sigma is a refine_tol estimate, not a bound, and excuses the false claim (ROADMAP item 1)")
 def test_false_phi_minus_claim_fails():
     assert _false_phi_minus_record().status == "fail"
 
