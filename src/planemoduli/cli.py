@@ -241,10 +241,14 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--modulus", required=True, help="modulus kind token, e.g. phi-minus or delta-t:0.25")
     c.add_argument("--eps", required=True, help="single value or inclusive range a:b:step")
     c.add_argument(
-        "--grid-n", type=int, default=1024, help="coarse angle scan, in points per full turn; at least 64 (default 1024)"
+        "--grid-n",
+        type=int,
+        default=1024,
+        help="coarse angle scan, in points per full turn; at least 64 (default 1024); "
+        "rho and milman scan 256 points per full turn on each axis",
     )
     c.add_argument("--refine-rounds", type=int, default=6, help="local refinement rounds (default 6)")
-    c.add_argument("--cone-samples", type=int, default=17, help="directions per quasi-normal cone (default 17)")
+    c.add_argument("--cone-samples", type=int, default=17, help="directions per quasi-normal cone; at least 0 (default 17)")
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     c.add_argument("--with-hilbert", action="store_true", help="add the Euclidean reference column")
     c.add_argument("--witnesses", action="store_true", help="export extremizer configurations as JSON")

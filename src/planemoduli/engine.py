@@ -57,9 +57,9 @@ def _search(bounds, mode, grid_n, refine_rounds, keep_cells, extra_points):
     d = len(bounds)
     if d < 1 or any(hi <= lo for lo, hi in bounds):
         raise InputError("bounds must be nonempty (lo, hi) pairs with lo < hi")
-    ns = tuple(grid_n) if isinstance(grid_n, (tuple, list)) else (int(grid_n),) * d
-    if len(ns) != d or any(int(n) < 64 for n in ns):
+    if int(grid_n) < 64:
         raise InputError("grid_n must be at least 64 per dimension")
+    ns = (int(grid_n),) * d
     if isinstance(refine_rounds, bool) or not isinstance(refine_rounds, (int, np.integer)) or refine_rounds < 1:
         raise InputError(f"refine_rounds must be an integer >= 1, got {refine_rounds!r}")
     if isinstance(keep_cells, bool) or not isinstance(keep_cells, (int, np.integer)) or keep_cells < 1:
@@ -135,7 +135,7 @@ def extremize(
     objective,
     bounds,
     mode: str = "inf",
-    grid_n=1024,
+    grid_n: int = 1024,
     refine_rounds: int = 6,
     keep_cells: int = 8,
     extra_points=None,
@@ -143,9 +143,9 @@ def extremize(
     """Extremize a vectorized objective over a box.
 
     objective maps an (N, d) array of parameter points to (N,) values; bounds
-    is a sequence of (lo, hi) pairs; grid_n is the coarse resolution per axis
-    (int or per-axis tuple, at least 64). extra_points are exact parameter
-    points injected into the coarse scan (e.g. polygon vertex angles).
+    is a sequence of (lo, hi) pairs; grid_n is the coarse resolution on every
+    axis (at least 64). extra_points are exact parameter points injected into
+    the coarse scan (e.g. polygon vertex angles).
 
     The best keep_cells coarse cells are refined in lockstep, one objective
     call per round on all their stencils. The objective must therefore be
@@ -159,7 +159,7 @@ def extremize(
 def extremize_batch(
     objective,
     problems,
-    grid_n=1024,
+    grid_n: int = 1024,
     refine_rounds: int = 6,
     keep_cells: int = 8,
 ) -> list[ExtremizeResult]:

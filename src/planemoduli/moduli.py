@@ -34,24 +34,26 @@ objective call per engine step for all of them, with the same results as one
 The chords ||x - z|| = eps and lambda are solved per row by the engine's
 bracketed_roots, and the chords on polygonal norms in closed form.
 
-A single-angle kind is an extreme over concrete configurations at the angle
-of x: a chord x, z on one of the norm's chord branches (arc side, near or far
-end of the level set: four on a polygonal norm, and two, the near end of
-each side, on a strictly convex one, whose level set on a side is a single
-point), with supporting functionals p in J(x) or p1 in J(x1), p2 in J(x2);
-or a quasi-normal pair (x, y). The kind's configuration table lists them once,
-as a value array with a leading configuration axis and a row per angle of a
-scan, plus the named fields of each configuration (x, z, p, x1, x2, p1, p2,
-side, edge, s, t_seg, y, y_sign). One dispatcher, _tables, builds the tables
-of all the points of a batch: one chord solve for the chord kinds
-(_chord_table) and one quasi-normal pass for the lambda and zeta kinds
-(_qn_tables). The objective reduces each table with one max or min over the
+Every kind is an extreme over concrete configurations at the angle of x, and
+for rho and milman at the angles of x and y: a chord x, z on one of the
+norm's chord branches (arc side, near or far end of the level set: four on a
+polygonal norm, and two, the near end of each side, on a strictly convex
+one, whose level set on a side is a single point), with supporting
+functionals p in J(x) or p1 in J(x1), p2 in J(x2); a quasi-normal pair
+(x, y); or, for rho and milman, the one pair x = S(theta_x), y = S(theta_y),
+with y scaled by eps for rho. The kind's configuration table lists them
+once, as a value array with a leading configuration axis and a row per angle
+(or angle pair) of a scan, plus the named fields of each configuration (x,
+z, p, x1, x2, p1, p2, side, edge, s, t_seg, y, y_sign). One dispatcher,
+_tables, builds the tables of all the points of a batch: one chord solve for
+the chord kinds (_chord_table), one quasi-normal pass for the lambda and
+zeta kinds (_qn_tables) and two sphere points for rho and milman. The one
+objective, _objective, reduces each table with one max or min over the
 configuration axis. The witnesses of a batch come from one more _tables call,
 on one-row scans at the winning angles: each is the first extremal
 configuration of its point's table, and since a row has the same bits alone
 as in a batch, its value is the sample value. reevaluate_witness applies the
-same value expression (_config_value) to the stored fields, as the rho and
-milman objective does.
+same value expression (_config_value) to the stored fields.
 """
 
 from __future__ import annotations
@@ -467,8 +469,11 @@ def _chord_scans(norm: Norm, requests) -> list[_ChordScan]:
 
 def _partner_angles(norm: Norm, base: np.ndarray, eps_values) -> list[np.ndarray]:
     """Per eps, the angles mod pi whose near chord partner at distance eps is
-    the sphere point at a base angle, on both arc sides, in one chord solve."""
+    the sphere point at a base angle, on both arc sides, in one chord solve
+    (none, and no solve, when base is empty)."""
     n, m = len(base), len(eps_values)
+    if n == 0 or m == 0:
+        return [base] * m
     sides = np.tile(np.repeat([1.0, -1.0], n), m)
     th = np.tile(base, 2 * m)
     targets = np.tile(norm.sphere_point(base), (2 * m, 1))
@@ -487,15 +492,12 @@ def _half_turn_vertices(norm: Norm) -> np.ndarray:
 def _half_turn_points(grid_n) -> int:
     """Coarse points per axis on the half turn [0, pi) for grid_n points per
     full turn: the full turn's spacing 2 pi / grid_n, and at least the
-    engine's 64. grid_n itself must be at least 64, as on a full turn."""
-    if int(grid_n) < 64:
-        raise InputError("grid_n must be at least 64 per dimension")
+    engine's 64."""
     return max(64, -(-int(grid_n) // 2))
 
 
 class ChordScans:
-    """Chord data of one run: coarse chord scans keyed by (norm, eps, grid_n),
-    and vertex chord-partner angles keyed by (norm, eps).
+    """The coarse chord scans of one run, keyed by (norm, eps, grid_n).
 
     The chord kinds (delta, banas, delta-t, beta-t, phi, gamma, d) solve the
     same chords ||x - z|| = eps on the same coarse theta grid and differ only
@@ -503,14 +505,13 @@ class ChordScans:
     engine's coarse scan: its thetas, sphere points X and partners Zs are kept
     read-only, together with their support endpoints once a kind needs them,
     and a later request reuses the scan only when its theta array is bitwise
-    identical to the kept one. Refine stencils are never kept. The partner
-    angles of polygon vertices, which every chord kind injects into its
-    coarse scan, are kept the same way.
+    identical to the kept one. Refine stencils are never kept, nor are the
+    vertex chord-partner angles, which each batch solves once for all its
+    chord eps.
     """
 
     def __init__(self):
         self._scans: dict[tuple, _ChordScan] = {}
-        self._partners: dict[tuple, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._scans)
@@ -536,24 +537,6 @@ class ChordScans:
             for i in ix:
                 out[i] = scan
         return out
-
-    def partner_angles(self, norm: Norm, eps_values) -> list:
-        """Per eps, the coarse-scan angles, mod pi, whose chord partner at
-        distance eps lands exactly on a polygon vertex (empty for smooth
-        norms). The search runs over the half turn, so only the partners of
-        one vertex per antipodal pair are solved: the partners of -v are
-        those of v turned by pi. The eps values not kept yet are solved in
-        one call."""
-        nkey = norm_key(norm)
-        base = _half_turn_vertices(norm)
-        if base.size == 0:
-            return [base] * len(eps_values)
-        missing = [e for e in dict.fromkeys(eps_values) if (nkey, e) not in self._partners]
-        if missing:
-            for e, angles in zip(missing, _partner_angles(norm, base, missing)):
-                angles.setflags(write=False)
-                self._partners[(nkey, e)] = angles
-        return [self._partners[(nkey, e)] for e in eps_values]
 
 
 # -- configuration tables ------------------------------------------------------
@@ -753,62 +736,60 @@ def _qn_tables(norm: Norm, points, thetas, cone_samples: int) -> list[tuple[np.n
     return [(v, [{"x": x, "y": y[j], "y_sign": sign} for j, sign in enumerate(signs)]) for v, x, y in parts]
 
 
-def _tables(norm: Norm, points, thetas, dual: Norm | None, cone_samples: int, chords) -> list[tuple[np.ndarray, list[dict]]]:
-    """The tables of single-angle points (kind, eps) on their theta arrays,
-    one per point. chords(requests) maps (eps, thetas) requests to chord
-    scans, as ChordScans.chords does; all chord kinds share one such call,
-    and the lambda and zeta kinds one _qn_tables pass."""
+def _tables(norm: Norm, points, Ps, dual: Norm | None, cone_samples: int, chords) -> list[tuple[np.ndarray, list[dict]]]:
+    """The tables of points (kind, eps) on their (N_i, d) angle arrays, one
+    per point, with d = 2 (theta_x, theta_y) for rho and milman and d = 1
+    otherwise. chords(requests) maps (eps, thetas) requests to chord scans,
+    as ChordScans.chords does; all chord kinds share one such call, and the
+    lambda and zeta kinds one _qn_tables pass."""
     out = [None] * len(points)
-    chord = [i for i, (kind, _) in enumerate(points) if kind.name not in _QN_KINDS]
-    qn = [i for i, (kind, _) in enumerate(points) if kind.name in _QN_KINDS]
+    chord, qn = [], []
+    for i, (kind, eps) in enumerate(points):
+        if kind.name in _TWO_ANGLE_KINDS:
+            Y = norm.sphere_point(Ps[i][:, 1])
+            f = {"x": norm.sphere_point(Ps[i][:, 0]), "y": eps * Y if kind.name == "rho" else Y}
+            out[i] = (_config_value(norm, kind, eps, f, None)[None], [f])
+        else:
+            (qn if kind.name in _QN_KINDS else chord).append(i)
     if chord:
-        for i, scan in zip(chord, chords([(points[i][1], thetas[i]) for i in chord])):
+        for i, scan in zip(chord, chords([(points[i][1], Ps[i][:, 0]) for i in chord])):
             out[i] = _chord_table(norm, points[i][0], scan, dual)
     if qn:
-        for i, table in zip(qn, _qn_tables(norm, [points[i] for i in qn], [thetas[i] for i in qn], cone_samples)):
+        for i, table in zip(qn, _qn_tables(norm, [points[i] for i in qn], [Ps[i][:, 0] for i in qn], cone_samples)):
             out[i] = table
     return out
 
 
-def _objective_1d(norm: Norm, points, dual: Norm | None, cone_samples: int, chords):
-    """The lockstep objective of single-angle points (kind, eps): a list of
-    (N_i, 1) theta arrays in, one per point, and their value arrays out, each
-    the max or min of the point's table over its configurations (_tables,
-    with chords as there)."""
+def _objective(norm: Norm, points, dual: Norm | None, cone_samples: int, chords):
+    """The lockstep objective of points (kind, eps): a list of (N_i, d) angle
+    arrays in, one per point, and their value arrays out, each the max or min
+    of the point's table over its configurations (_tables, with chords as
+    there)."""
 
     def objective(Ps):
-        tables = _tables(norm, points, [P[:, 0] for P in Ps], dual, cone_samples, chords)
+        tables = _tables(norm, points, Ps, dual, cone_samples, chords)
         return [np.max(V, axis=0) if kind.is_sup() else np.min(V, axis=0) for (kind, _), (V, _) in zip(points, tables)]
 
     return objective
 
 
-def _fields_2d(norm: Norm, kind: ModulusKind, eps: float, theta_x, theta_y) -> dict:
-    """x and y of rho or milman at angles theta_x and theta_y (scalars or
-    rows): y is scaled by eps for rho only."""
-    Y = norm.sphere_point(theta_y)
-    return {"x": norm.sphere_point(theta_x), "y": eps * Y if kind.name == "rho" else Y}
-
-
-def _objective_2d(norm: Norm, kind: ModulusKind, eps: float):
-    """The two-angle objective of rho or milman on (theta_x, theta_y) rows."""
-    return lambda P: _config_value(norm, kind, eps, _fields_2d(norm, kind, eps, P[:, 0], P[:, 1]), None)
-
-
 # -- witnesses -----------------------------------------------------------------
 
 
-def _describe_theta(norm: Norm, points, thetas, dual: Norm | None, cone_samples: int) -> list[dict]:
-    """Witnesses of single-angle points (kind, eps) at their extremal angles:
-    per point, the first extremal configuration of its table on the one-row
-    scan at its angle, all points in one _tables pass. No scan is kept."""
-    rows = [np.array([theta]) for theta in thetas]
+def _describe_theta(norm: Norm, points, angles, dual: Norm | None, cone_samples: int) -> list[dict]:
+    """Witnesses of points (kind, eps) at their extremal angles (theta_x, and
+    theta_y for rho and milman): per point, the first extremal configuration
+    of its table on the one-row scan at its angles, all points in one _tables
+    pass. No scan is kept. The angles go in as one-row arrays, as the
+    objective gets them: a scalar angle can give a sphere point with other
+    last bits."""
+    rows = [np.array([angle]) for angle in angles]
     tables = _tables(norm, points, rows, dual, cone_samples, lambda r: _chord_scans(norm, r))
     out = []
-    for (kind, _), theta, (V, configs) in zip(points, thetas, tables):
+    for (kind, _), row, (V, configs) in zip(points, rows, tables):
         c = int(np.argmax(V[:, 0]) if kind.is_sup() else np.argmin(V[:, 0]))
         fields = {n: f[0].tolist() if isinstance(f, np.ndarray) else f for n, f in configs[c].items()}
-        witness = {"theta_x": float(theta), **fields}
+        witness = {**dict(zip(("theta_x", "theta_y"), map(float, row[0]))), **fields}
         if kind.name in _PARAMETRIC:
             witness["t"] = kind.t
         witness["value"] = float(V[c, 0])
@@ -841,7 +822,8 @@ def modulus(
     grid of grid_n_2d points per full turn on each axis. Every norm is
     origin-symmetric, so the searches run over the half turn [0, pi), and
     over [0, pi)^2, with max(64, ceil(grid_n / 2)) points per axis (see the
-    module docstring). Both must be at least 64.
+    module docstring). Both must be at least 64 and cone_samples at least 0,
+    whatever the kind and eps, or InputError is raised.
     chord_scans lets the chord kinds of one run share their coarse chord
     solve (see ChordScans); without it each call solves its own. This is
     modulus_batch for a single point, raising the error it would return.
@@ -862,17 +844,18 @@ def modulus_batch(
     grid_n_2d: int = 256,
     chord_scans: ChordScans | None = None,
 ) -> list:
-    """Many points (kind, eps) of one norm, solved together.
+    """Many points (kind, eps) of one norm, solved together on one path.
 
-    The single-angle points run as one lockstep extremize_batch, so each
-    engine step makes one objective call for all of them: one chord solve
-    for every chord kind (with the coarse scans shared through chord_scans, as
-    in modulus) and one quasi-normal pass for the lambda and zeta kinds. The
-    rho and milman points are searched one at a time (see _solve_two_angle).
-    The single-angle witnesses come from one table pass at the winning
-    angles (see _describe_theta). Each entry of the result is
-    the CurveSample that modulus returns for that point (equal with ==,
-    witness included) or the DomainError that it raises.
+    Every point is one search of the one objective (_objective) over its
+    configuration tables. The single-angle points run as one lockstep
+    extremize_batch, so each engine step makes one objective call for all of
+    them: one chord solve for every chord kind (with the coarse scans shared
+    through chord_scans, as in modulus) and one quasi-normal pass for the
+    lambda and zeta kinds. The rho and milman points are searched one at a
+    time (see _solve). All witnesses come from one table pass at the winning
+    angles (see _describe_theta). Each entry of the result is the CurveSample
+    that modulus returns for that point (equal with ==, witness included) or
+    the DomainError that it raises.
     """
     if len(points) == 1:
         # a lone point is a modulus() call, so that per-point profiling (such
@@ -899,10 +882,20 @@ def _mode(kind: ModulusKind) -> str:
 
 
 def _solve(norm: Norm, points, grid_n, refine_rounds, cone_samples, grid_n_2d, chord_scans) -> list:
-    """modulus_batch without the lone-point routing: domain errors and eps = 0
-    conventions first, then the single-angle batch and the two-angle points."""
+    """modulus_batch without the lone-point routing: the settings are checked
+    first, then the domain errors and eps = 0 conventions, then one Problem
+    per remaining point. The single-angle problems run as one lockstep
+    search; rho and milman run one at a time, since each coarse scan over
+    [0, pi)^2 is already thousands of rows, and a lockstep batch, which holds
+    the coarse grids of all its searches at once, raised the peak memory
+    without a measurable speed-up. One _describe_theta pass then gives every
+    witness."""
+    if int(grid_n) < 64 or int(grid_n_2d) < 64:
+        raise InputError("grid_n must be at least 64 per dimension")
+    if int(cone_samples) < 0:
+        raise InputError("cone_samples must be at least 0")
     out: list = []
-    one_angle, two_angle = [], []
+    live = []
     for kind, eps in points:
         eps = float(eps)
         lo, hi = kind_domain(kind)
@@ -912,72 +905,40 @@ def _solve(norm: Norm, points, grid_n, refine_rounds, cone_samples, grid_n_2d, c
             value = _convention_at_zero(kind)
             out.append(CurveSample(0.0, value, int(grid_n), 0.0, {"degenerate": True, "value": value}))
         else:
-            (two_angle if kind.name in _TWO_ANGLE_KINDS else one_angle).append(len(out))
+            live.append(len(out))
             out.append((kind, eps))
-    if one_angle:
-        scans = ChordScans() if chord_scans is None else chord_scans
-        solved = _solve_one_angle(norm, [out[i] for i in one_angle], grid_n, refine_rounds, cone_samples, scans)
-        for i, sample in zip(one_angle, solved):
-            out[i] = sample
-    if two_angle:
-        for i, sample in zip(two_angle, _solve_two_angle(norm, [out[i] for i in two_angle], grid_n_2d, refine_rounds)):
-            out[i] = sample
-    return out
-
-
-def _solve_one_angle(norm: Norm, points, grid_n, refine_rounds, cone_samples, scans: ChordScans) -> list:
-    """The single-angle points as one lockstep batch (see modulus_batch),
-    each searched over the half turn [0, pi)."""
-    half_n = _half_turn_points(grid_n)
+    if not live:
+        return out
+    points = [out[i] for i in live]
+    two = [kind.name in _TWO_ANGLE_KINDS for kind, _ in points]
+    # polygon vertices, one per antipodal pair, are injected into every
+    # coarse scan, and for the chord kinds the angles whose chord partner is
+    # a vertex; rho and milman get the pairs of vertex angles
     base = _half_turn_vertices(norm)
-    chord_eps = [eps for kind, eps in points if kind.name not in _QN_KINDS]
-    partners = dict(zip(chord_eps, scans.partner_angles(norm, chord_eps)))
+    chord_eps = list(dict.fromkeys(eps for kind, eps in points if kind.name not in _QN_KINDS | _TWO_ANGLE_KINDS))
+    partners = dict(zip(chord_eps, _partner_angles(norm, base, chord_eps)))
+    pairs = np.stack([a.ravel() for a in np.meshgrid(base, base, indexing="ij")], axis=-1)
     problems = []
-    for kind, eps in points:
-        # polygon vertices, and for the chord kinds the angles whose chord
-        # partner is a vertex, are injected into the coarse scan
-        extra = base if kind.name in _QN_KINDS else np.concatenate([base, partners[eps]])
-        problems.append(Problem([(0.0, math.pi)], _mode(kind), extra[:, None] if extra.size else None))
+    for (kind, eps), is_two in zip(points, two):
+        if is_two:
+            extra = pairs
+        else:
+            extra = (base if kind.name in _QN_KINDS else np.concatenate([base, partners[eps]]))[:, None]
+        problems.append(Problem([(0.0, math.pi)] * extra.shape[1], _mode(kind), extra if extra.size else None))
     dual = norm.dual() if any(kind.name.startswith("d-") for kind, _ in points) else None
-    objective = _objective_1d(norm, points, dual, cone_samples, lambda r: scans.chords(norm, grid_n, r))
-    results = _extremize_all(objective, problems, grid_n=half_n, refine_rounds=refine_rounds)
-    witnesses = _describe_theta(norm, points, [float(res.point[0]) for res in results], dual, cone_samples)
-    return [
-        CurveSample(eps, float(res.value), int(grid_n), max(float(res.tol), 1e-12), witness)
-        for (_, eps), res, witness in zip(points, results, witnesses)
-    ]
-
-
-def _solve_two_angle(norm: Norm, points, grid_n_2d, refine_rounds) -> list:
-    """rho and milman points, each searched on its own over [0, pi)^2: both
-    are pi-periodic in theta_x and in theta_y, since the norm is
-    origin-symmetric, and the grid has max(64, ceil(grid_n_2d / 2)) points
-    per axis, the spacing of grid_n_2d points per full turn. Their coarse
-    scans are already thousands of rows, and a lockstep batch, which holds
-    the coarse grids of all its searches at once, raised the peak memory
-    without a measurable speed-up. The witness fields are built from
-    one-row angle arrays, as the objective builds them: a scalar angle can
-    give a sphere point with other last bits."""
-    half_n = _half_turn_points(grid_n_2d)
-    sp = _half_turn_vertices(norm)
-    extras = None
-    if sp.size:
-        A, B = np.meshgrid(sp, sp, indexing="ij")
-        extras = np.stack([A.ravel(), B.ravel()], axis=-1)
-    box = [(0.0, math.pi), (0.0, math.pi)]
-    out = []
-    for kind, eps in points:
-        res = extremize(
-            _objective_2d(norm, kind, eps), box, _mode(kind), grid_n=half_n, refine_rounds=refine_rounds, extra_points=extras
-        )
-        theta_x, theta_y = res.point[:1], res.point[1:]
-        witness = {
-            "theta_x": float(theta_x[0]),
-            "theta_y": float(theta_y[0]),
-            **{name: field[0].tolist() for name, field in _fields_2d(norm, kind, eps, theta_x, theta_y).items()},
-            "value": float(res.value),
-        }
-        out.append(CurveSample(eps, float(res.value), int(grid_n_2d), max(float(res.tol), 1e-12), witness))
+    scans = ChordScans() if chord_scans is None else chord_scans
+    chords = lambda r: scans.chords(norm, grid_n, r)  # noqa: E731
+    results = [None] * len(points)
+    one = [i for i, is_two in enumerate(two) if not is_two]
+    groups = ([(one, grid_n)] if one else []) + [([i], grid_n_2d) for i, is_two in enumerate(two) if is_two]
+    for group, n in groups:
+        objective = _objective(norm, [points[i] for i in group], dual, cone_samples, chords)
+        searched = _extremize_all(objective, [problems[i] for i in group], grid_n=_half_turn_points(n), refine_rounds=refine_rounds)
+        for i, res in zip(group, searched):
+            results[i] = res
+    witnesses = _describe_theta(norm, points, [res.point for res in results], dual, cone_samples)
+    for i, (_, eps), res, witness, is_two in zip(live, points, results, witnesses, two):
+        out[i] = CurveSample(eps, float(res.value), int(grid_n_2d if is_two else grid_n), max(float(res.tol), 1e-12), witness)
     return out
 
 

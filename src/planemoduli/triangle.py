@@ -91,7 +91,7 @@ def is_quasi_orthogonal(norm: Norm, y, x, tol: float = 1e-9) -> bool:
     return segment_pairing_min(seg, y) <= tol
 
 
-def quasi_normal_cone(norm: Norm, x, tol: float = 1e-9) -> QuasiNormalCone:
+def quasi_normal_cone(norm: Norm, x) -> QuasiNormalCone:
     """The set {y : ||y|| = 1, y -| x}, as an angle interval (up to sign).
 
     The kernels of the supporting functionals sweep counterclockwise from

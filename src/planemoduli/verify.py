@@ -772,22 +772,23 @@ _register_builtin_checks()
 
 
 def gamma_monotonicity_check(norm: Norm, eps_grid: Sequence[float], *, settings: SuiteSettings | None = None) -> float:
-    """Smallest consecutive increment of the duality-mapping moduli on the grid.
+    """Smallest consecutive increment of the duality-mapping moduli on the grid:
+    the least margin of the gamma-monotone relations of the suite.
 
-    Returns +inf for grids with fewer than two points (vacuously monotone).
+    Returns +inf for grids with fewer than two points (vacuously monotone),
+    and raises the DomainError of the first relation with an eps outside the
+    kinds' domain.
     """
     grid = [float(e) for e in eps_grid]
     if sorted(grid) != grid:
         raise InputError("eps grid must be sorted ascending")
     if len(grid) < 2:
         return math.inf
-    samples = ModulusCache(settings or SuiteSettings()).sample_many(norm, [(kind, e) for kind in (_GAM_M, _GAM_P) for e in grid])
-    for s in samples:
-        if isinstance(s, Exception):
-            raise s
-    n = len(grid)
-    values = [s.value for s in samples]
-    return float(min(b - a for v in (values[:n], values[n:]) for a, b in zip(v, v[1:])))
+    cache = ModulusCache(settings or SuiteSettings())
+    points, skips = _eval_relations(norm, norm_label(norm), _rels_gamma_monotone(grid), cache)
+    if skips:
+        raise DomainError(skips[0]["reason"])
+    return float(min(p.margin for p in points))
 
 
 # -- conjecture probes --------------------------------------------------------

@@ -33,7 +33,7 @@ from planemoduli import (
 )
 from planemoduli import moduli
 from planemoduli import modulus_batch
-from planemoduli.moduli import KIND_NAMES, ChordScans, CurveSample, _objective_1d, _objective_2d, kind_domain
+from planemoduli.moduli import KIND_NAMES, ChordScans, CurveSample, _objective, kind_domain
 from planemoduli.verify import ModulusCache, SuiteSettings, _sample_family, _sample_polygon, norm_label, standard_norms
 
 EUCLID = euclidean_norm()
@@ -288,33 +288,29 @@ def _angle_halves(norm, d):
     return stencil, mixed
 
 
-def _objective_1(norm, points):
-    """The lockstep objective that modulus_batch builds for single-angle
-    points, with a fresh chord store on every call."""
-    return _objective_1d(norm, points, norm.dual(), 9, lambda requests: ChordScans().chords(norm, 64, requests))
+def _objective_of(norm, points):
+    """The objective that modulus_batch builds for its points, with a fresh
+    chord store on every call."""
+    return _objective(norm, points, norm.dual(), 9, lambda requests: ChordScans().chords(norm, 64, requests))
 
 
 @pytest.mark.parametrize("token", ALL_TOKENS)
 def test_objectives_are_row_independent(token):
     kind = K(token)
-    two_angle = kind.name in TWO_ANGLE
     for norm in ROW_NORMS:
-        A, B = _angle_halves(norm, 2 if two_angle else 1)
-        if two_angle:
-            solo = lambda P, point=(kind, 0.6): _objective_2d(norm, *point)(P)  # noqa: E731
-        else:
-            solo = lambda P, point=(kind, 0.6): _objective_1(norm, [point])([P])[0]  # noqa: E731
+        A, B = _angle_halves(norm, 2 if kind.name in TWO_ANGLE else 1)
+        solo = lambda P, point=(kind, 0.6): _objective_of(norm, [point])([P])[0]  # noqa: E731
         assert np.array_equal(solo(np.concatenate([A, B])), np.concatenate([solo(A), solo(B)])), norm
         for P in (A, B):
             batch = solo(P)
             assert all(solo(P[i : i + 1])[0] == batch[i] for i in range(len(P))), norm
-        if two_angle:
-            continue  # rho and milman points are searched one at a time
         # a multi-point batch, split into its per-point slices as the lockstep
-        # engine splits it: each point gets the values it gets alone
+        # engine and the witness pass split it: each point gets the values it
+        # gets alone, rho and milman among single-angle points included
+        A1, B1 = _angle_halves(norm, 1)
         points = [(kind, 0.6), (kind, 0.3), *((K(t), 0.45) for t in ("delta", "zeta-plus", "d-minus", "lambda-minus"))]
-        arrays = [A, B, np.concatenate([B, A]), B, A, A]
-        together = _objective_1(norm, points)(arrays)
+        arrays = [A, B, np.concatenate([B, A]), B1, A1, A1]
+        together = _objective_of(norm, points)(arrays)
         for point, P, values in zip(points, arrays, together):
             assert np.array_equal(values, solo(P, point)), (norm, point)
 
@@ -640,15 +636,15 @@ def test_chord_kinds_bisect_the_coarse_grid_once(norm, monkeypatch):
     coarse_rows = len(moduli._chord_branches(norm)) * _coarse_rows(norm)
     partner_rows = 2 * (len(norm.special_angles()) // 2)
     # one kind at a time, and all ten kinds as one batch
-    for fill in (
-        lambda cache: [cache.sample(norm, K(token), eps) for token in CHORD_TOKENS],
-        lambda cache: cache.sample_many(norm, [(K(token), eps) for token in CHORD_TOKENS]),
+    for fill, batches in (
+        (lambda cache: [cache.sample(norm, K(token), eps) for token in CHORD_TOKENS], len(CHORD_TOKENS)),
+        (lambda cache: cache.sample_many(norm, [(K(token), eps) for token in CHORD_TOKENS]), 1),
     ):
         rows.clear()
         fill(ModulusCache(SCAN_SETTINGS))
         assert rows.count(coarse_rows) == 1
-        # the vertex chord-partner angles are bisected once too
-        assert rows.count(partner_rows) == (1 if partner_rows else 0)
+        # the vertex chord-partner angles are bisected once per batch
+        assert rows.count(partner_rows) == (batches if partner_rows else 0)
     rows.clear()
     for token in CHORD_TOKENS:
         modulus(norm, K(token), eps, **SCAN_SETTINGS.modulus_kwargs())
@@ -727,7 +723,7 @@ def test_every_chord_kind_has_a_value_at_the_diameter(norm):
     thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     (scan,) = scans.chords(norm, 64, [(2.0, thetas)])
     assert len(scans) == 1 and scans.chords(norm, 64, [(2.0, thetas.copy())])[0] is scan
-    assert scans.chords(norm, 64, []) == [] and scans.partner_angles(norm, []) == []
+    assert scans.chords(norm, 64, []) == []
 
 
 # -- the half-turn search ----------------------------------------------------------
@@ -735,7 +731,8 @@ def test_every_chord_kind_has_a_value_at_the_diameter(norm):
 
 def test_grid_below_the_floor_is_rejected():
     # a half turn gets max(64, ceil(grid_n / 2)) points, which would accept
-    # grid_n = 63 silently: the API and the CLI still reject it
+    # grid_n = 63 silently: the API and the CLI still reject it, and so they
+    # do a negative cone_samples, whatever the kinds and eps asked for
     from planemoduli.cli import main
 
     message = "grid_n must be at least 64 per dimension"
@@ -748,6 +745,22 @@ def test_grid_below_the_floor_is_rejected():
     with pytest.raises(InputError, match=message):
         modulus_batch(HEXAGON, [(K("rho"), 0.5), (K("milman-minus"), 0.5)], grid_n_2d=63)
     assert main(["compute", "--norm", "hexagon", "--modulus", "delta", "--eps", "0.5", "--grid-n", "63"]) == 2
+    # settings that the points asked for never read
+    with pytest.raises(InputError, match=message):
+        modulus(HEXAGON, K("rho"), 0.5, grid_n=63)
+    with pytest.raises(InputError, match=message):
+        modulus(HEXAGON, K("delta"), 0.5, grid_n_2d=63)
+    with pytest.raises(InputError, match=message):
+        modulus(HEXAGON, K("delta"), 0.0, grid_n=63)
+    with pytest.raises(InputError, match=message):
+        modulus_batch(HEXAGON, [(K("delta"), 0.0), (K("rho"), 0.0)], grid_n=63)
+    assert main(["compute", "--norm", "hexagon", "--modulus", "rho", "--eps", "0.5", "--grid-n", "63"]) == 2
+    # cone_samples below 0, which sampled one end of a vertex cone at -1
+    for bad in (-1, -2, -3):
+        with pytest.raises(InputError, match="cone_samples must be at least 0"):
+            modulus(HEXAGON, K("lambda-plus"), 0.5, cone_samples=bad)
+        argv = ["compute", "--norm", "hexagon", "--modulus", "zeta-plus", "--eps", "0.5", "--cone-samples", str(bad)]
+        assert main(argv) == 2
 
 
 def test_kept_chord_scan_is_the_first_half_of_the_full_turn_grid():
@@ -877,8 +890,10 @@ def test_batched_witness_values_are_the_sample_values(name):
     points = [(K(token), eps) for token in ALL_TOKENS for eps in (0.3, 0.6, 0.95)]
     samples = modulus_batch(norm, points, grid_n=128, refine_rounds=3, cone_samples=9, grid_n_2d=64)
     assert [(kind.token(), eps) for (kind, eps), s in zip(points, samples) if s.witness["value"] != s.value] == []
-    vertices = np.mod(norm.special_angles(), 2.0 * math.pi)
-    at_vertex = [s.witness["theta_x"] in vertices for (kind, _), s in zip(points, samples) if kind.name in moduli._QN_KINDS]
+    vertices = moduli._half_turn_vertices(norm)
+    qn = [s for (kind, _), s in zip(points, samples) if kind.name in moduli._QN_KINDS]
+    # theta_x = pi is the vertex angle 0 of the half turn
+    at_vertex = [np.mod(s.witness["theta_x"], math.pi) in vertices for s in qn]
     assert any(at_vertex) == (norm._polygon() is not None)
 
 

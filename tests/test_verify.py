@@ -215,6 +215,9 @@ def test_gamma_monotonicity_margin():
     assert margin == pytest.approx(0.75, abs=1e-2)
     with pytest.raises(InputError):
         gamma_monotonicity_check(EUCLID, [1.0, 0.5])
+    # a grid that leaves the gamma domain [0, 2] raises that eps's error
+    with pytest.raises(DomainError, match="eps=2.5 outside"):
+        gamma_monotonicity_check(EUCLID, [1.0, 2.5], settings=LIGHT)
 
 
 def test_report_json_shape():
