@@ -16,10 +16,19 @@ quasi-orthogonal to x:
 - ``d-+/-``        extremes of the dual distance ||p1 - p2||_* over chords
 - ``milman-+/-``   inf of max / sup of min of ||x +- eps*y|| - 1, y on the sphere
 
-Every extremization is the deterministic grid-refine scheme from
-:mod:`planemoduli.engine`, with polygon vertex angles (and the angles whose
-chord partner is a vertex) injected into the coarse scan so non-smooth
-extremal configurations are hit exactly. Every norm here is origin-symmetric,
+On a polygonal norm the ten chord kinds (delta, banas, delta-t, beta-t,
+phi, gamma, d) are exact: every configuration is piecewise affine in the
+position of x on its edge, so each extreme sits at one of finitely many
+breakpoint angles (x or its chord partner at a vertex, a switch of the
+chord's active facet, and for banas and beta-t a switch of the midpoint's
+active facet), and the value is the table's max or min over them
+(_enumerate_chord_kinds). Their refine_tol is the rounding bound
+_POLYGON_TOL, and grid_n and refine_rounds do not affect them. Every other
+extremization is the deterministic grid-refine scheme from
+:mod:`planemoduli.engine`, with polygon vertex angles injected into the
+coarse scan so non-smooth extremal configurations are hit exactly; that
+covers every kind on a smooth norm, and the lambda, zeta, rho and milman
+kinds on a polygonal one. Every norm here is origin-symmetric,
 so every objective is pi-periodic in each angle: (x, z) -> (-x, -z) keeps
 every single-angle value, the lambda and zeta kinds take both signs of y,
 and rho and milman are pi-periodic in theta_x and in theta_y. The searches
@@ -29,7 +38,8 @@ max(64, ceil(grid_n / 2)) points on the half turn, the spacing 2 pi / grid_n
 of a full-turn scan (for an even grid_n its cell centres are the first half
 of the full turn's), with the engine's minimum of 64 points per axis.
 ``modulus_batch`` solves the single-angle points of one norm in lockstep, one
-objective call per engine step for all of them, with the same results as one
+objective call per engine step for all of them, and the enumerated points of
+one norm with one chord solve per eps, with the same results as one
 ``modulus`` call per point.
 The chords ||x - z|| = eps and lambda are solved per row by the engine's
 bracketed_roots, and the chords on polygonal norms in closed form.
@@ -49,11 +59,12 @@ _tables, builds the tables of all the points of a batch: one chord solve for
 the chord kinds (_chord_table), one quasi-normal pass for the lambda and
 zeta kinds (_qn_tables) and two sphere points for rho and milman. The one
 objective, _objective, reduces each table with one max or min over the
-configuration axis. The witnesses of a batch come from one more _tables call,
-on one-row scans at the winning angles: each is the first extremal
-configuration of its point's table, and since a row has the same bits alone
-as in a batch, its value is the sample value. reevaluate_witness applies the
-same value expression (_config_value) to the stored fields.
+configuration axis, and the enumeration reduces the chord tables of its
+breakpoint scans the same way. The witnesses of a batch come from one more
+_tables call, on one-row scans at the winning angles: each is the first
+extremal configuration of its point's table, and since a row has the same
+bits alone as in a batch, its value is the sample value. reevaluate_witness
+applies the same value expression (_config_value) to the stored fields.
 """
 
 from __future__ import annotations
@@ -117,6 +128,13 @@ _SUP_KINDS = frozenset(
 
 CHORD_ITERATIONS = 46
 _ENGINE_LAMBDA_TOL = 1e-7
+# the refine_tol of an enumerated chord modulus on a polygonal norm: a row
+# within the supports' 1e-9 tie tolerance of a vertex takes both facet
+# functionals, and a chord end lies within 1e-11 of its level set, so a value
+# can be off the exact extreme by these times the objective's slopes; the
+# largest gap seen against fine engine searches was 3.6e-9 (50 random
+# polygons, 10 kinds, 9 eps from 1e-6 to 2)
+_POLYGON_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -467,20 +485,6 @@ def _chord_scans(norm: Norm, requests) -> list[_ChordScan]:
     return [_ChordScan(norm, th, x, zs) for th, (x, *zs) in zip(thetas, parts)]
 
 
-def _partner_angles(norm: Norm, base: np.ndarray, eps_values) -> list[np.ndarray]:
-    """Per eps, the angles mod pi whose near chord partner at distance eps is
-    the sphere point at a base angle, on both arc sides, in one chord solve
-    (none, and no solve, when base is empty)."""
-    n, m = len(base), len(eps_values)
-    if n == 0 or m == 0:
-        return [base] * m
-    sides = np.tile(np.repeat([1.0, -1.0], n), m)
-    th = np.tile(base, 2 * m)
-    targets = np.tile(norm.sphere_point(base), (2 * m, 1))
-    u = _chord_offsets_rows(norm, th, targets, np.repeat(eps_values, 2 * n), sides, np.zeros(2 * n * m, dtype=bool))
-    return np.split(np.mod(th + sides * u, math.pi), m)
-
-
 def _half_turn_vertices(norm: Norm) -> np.ndarray:
     """The vertex angles of a polygonal norm mod pi, one per antipodal pair
     (empty for a smooth norm): the vertices are listed with v[i + n/2] =
@@ -499,15 +503,16 @@ def _half_turn_points(grid_n) -> int:
 class ChordScans:
     """The coarse chord scans of one run, keyed by (norm, eps, grid_n).
 
-    The chord kinds (delta, banas, delta-t, beta-t, phi, gamma, d) solve the
-    same chords ||x - z|| = eps on the same coarse theta grid and differ only
-    in what they evaluate on them. The first chord scan of a key is the
-    engine's coarse scan: its thetas, sphere points X and partners Zs are kept
-    read-only, together with their support endpoints once a kind needs them,
-    and a later request reuses the scan only when its theta array is bitwise
-    identical to the kept one. Refine stencils are never kept, nor are the
-    vertex chord-partner angles, which each batch solves once for all its
-    chord eps.
+    On a smooth norm the chord kinds (delta, banas, delta-t, beta-t, phi,
+    gamma, d) solve the same chords ||x - z|| = eps on the same coarse theta
+    grid and differ only in what they evaluate on them. The first chord scan
+    of a key is the engine's coarse scan: its thetas, sphere points X and
+    partners Zs are kept read-only, together with their support endpoints
+    once a kind needs them, and a later request reuses the scan only when its
+    theta array is bitwise identical to the kept one. Refine stencils are
+    never kept. On a polygonal norm the chord kinds run no engine search and
+    keep nothing here: each batch solves its breakpoint scans once for all
+    its chord kinds (_enumerate_chord_kinds).
     """
 
     def __init__(self):
@@ -557,6 +562,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a, b> per row, from the two columns; the + 0.0 turns a -0.0 sum into
     the +0.0 that np.sum(a * b, axis=-1) gives, and changes nothing else."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + 0.0
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """cross(a, b) per row, from the two columns."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def _config_value(norm: Norm, kind: ModulusKind, eps, f: dict, dual: Norm | None) -> np.ndarray:
@@ -667,22 +677,19 @@ def _d_minus_candidates(b, d1, d2, rays):
     k, m = len(b), len(rays)
     r = rays[None, :, :]
 
-    def cross(u, v):
-        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
     def ratio(num, den):
         return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den != 0.0)
 
     S, T = [np.tile([0.0, 1.0, 0.0, 1.0], (k, 1))], [np.tile([0.0, 0.0, 1.0, 1.0], (k, 1))]
     for s0 in (0.0, 1.0):  # edge s = s0: cross(r, b + s0 d1 - t d2) = 0
         S.append(np.full((k, m), s0))
-        T.append(ratio(cross(r, (b + s0 * d1)[:, None]), cross(r, d2[:, None])))
+        T.append(ratio(_cross(r, (b + s0 * d1)[:, None]), _cross(r, d2[:, None])))
     for t0 in (0.0, 1.0):  # edge t = t0: cross(r, b - t0 d2 + s d1) = 0
-        S.append(ratio(-cross(r, (b - t0 * d2)[:, None]), cross(r, d1[:, None])))
+        S.append(ratio(-_cross(r, (b - t0 * d2)[:, None]), _cross(r, d1[:, None])))
         T.append(np.full((k, m), t0))
-    det = cross(d1, -d2)  # s d1 - t d2 = -b by Cramer's rule
-    S.append(ratio(cross(-b, -d2), det)[:, None])
-    T.append(ratio(cross(d1, -b), det)[:, None])
+    det = _cross(d1, -d2)  # s d1 - t d2 = -b by Cramer's rule
+    S.append(ratio(_cross(-b, -d2), det)[:, None])
+    T.append(ratio(_cross(d1, -b), det)[:, None])
     return np.clip(np.concatenate(S, axis=1), 0.0, 1.0), np.clip(np.concatenate(T, axis=1), 0.0, 1.0)
 
 
@@ -773,6 +780,132 @@ def _objective(norm: Norm, points, dual: Norm | None, cone_samples: int, chords)
     return objective
 
 
+# -- chord kinds on polygonal norms, enumerated at their breakpoints -------------
+
+
+def _partner_angles(norm: Norm, base: np.ndarray, eps_values) -> list[np.ndarray]:
+    """Per eps, the angles mod pi whose chord partner at distance eps is the
+    sphere point at a base angle: the near and far ends of the level set on
+    both arc sides of it, all in one chord solve."""
+    n, m, b = len(base), len(eps_values), len(_CHORD_BRANCHES)
+    sides = np.tile(np.repeat([s for s, _ in _CHORD_BRANCHES], n), m)
+    is_far = np.tile(np.repeat([e == "far" for _, e in _CHORD_BRANCHES], n), m)
+    th = np.tile(base, b * m)
+    targets = np.tile(norm.sphere_point(base), (b * m, 1))
+    u = _chord_offsets_rows(norm, th, targets, np.repeat(eps_values, b * n), sides, is_far)
+    return np.split(np.mod(th + sides * u, math.pi), m)
+
+
+def _chord_direction_angles(polygon, eps: float) -> np.ndarray:
+    """The angles mod pi of the sphere points x whose chord x - z of length
+    eps points along a vertex v_k of the ball: x on the boundary of P and of
+    P + eps v_k. Per edge V_i + s E_i of P, facet functional F_m and vertex
+    v_k, the s in [0, 1] with F_m (V_i + s E_i - eps v_k) = 1, kept where F_m
+    is the active facet of x - eps v_k; one v_k per antipodal pair, since
+    the pair's points are antipodal."""
+    V = polygon.vertices
+    E = np.roll(V, -1, axis=0) - V
+    shifts = eps * V[: len(V) // 2]
+    # (facets, edges, shifts)
+    num = 1.0 - polygon._scores(V)[:, :, None] + polygon._scores(shifts)[:, None, :]
+    den = np.broadcast_to(polygon._scores(E)[:, :, None], num.shape)
+    s = np.divide(num, den, out=np.full(num.shape, -1.0), where=den != 0.0)
+    on = (s >= 0.0) & (s <= 1.0)
+    _, i, k = np.nonzero(on)
+    X = V[i] + s[on][:, None] * E[i]
+    X = X[polygon._eval(X - shifts[k]) <= 1.0 + 1e-9]
+    return np.mod(np.arctan2(X[:, 1], X[:, 0]), math.pi)
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of a float array, without the import of numpy.ma that
+    np.unique makes on first use, which holds about 1 MB for the life of
+    the process."""
+    a = np.sort(a)
+    return a[np.concatenate([[True], a[1:] != a[:-1]])]
+
+
+def _breakpoint_angles(norm: Norm, polygon, eps_values) -> list[np.ndarray]:
+    """Per eps, the sorted angles in [0, pi) at which a chord configuration
+    on a polygonal norm can change its affine piece: x at a vertex, its chord
+    partner z at a vertex (_partner_angles), and the active facet of x - z
+    switching (_chord_direction_angles). Between two consecutive ones, x, z
+    and their supports move affinely with the position of x on its edge."""
+    base = _half_turn_vertices(norm)
+    return [
+        _sorted_unique(np.concatenate([base, partners, _chord_direction_angles(polygon, eps)]))
+        for eps, partners in zip(eps_values, _partner_angles(norm, base, eps_values))
+    ]
+
+
+def _midpoint_angles(polygon, scan: _ChordScan, t: float) -> np.ndarray:
+    """The angles mod pi at which m = t x + (1 - t) z crosses a line through
+    the origin and a vertex of the polygon, so that the active facet of ||m||
+    switches, between consecutive angles of a breakpoint scan. There m is
+    affine in the position of x, so it is interpolated between the ends, for
+    each arc side and each pairing of the near and far ends (which differ
+    where a level set is flat, so that either end may continue the piece);
+    the scan after the last angle closes with -x and -z at the first."""
+    X = np.concatenate([scan.X, -scan.X[:1]])
+    rays = polygon.vertices[: len(polygon.vertices) // 2, None, :]
+    found = []
+    for side in (1.0, -1.0):
+        Zs = [np.concatenate([Z, -Z[:1]]) for (s, _), Z in zip(_CHORD_BRANCHES, scan.Zs) if s == side]
+        for Za in Zs:
+            for Zb in Zs:
+                Ma = t * X[:-1] + (1.0 - t) * Za[:-1]
+                D = t * X[1:] + (1.0 - t) * Zb[1:] - Ma
+                den = _cross(rays, D)
+                lam = np.divide(-_cross(rays, Ma), den, out=np.zeros(den.shape), where=den != 0.0)
+                inside = (lam > 0.0) & (lam < 1.0)
+                _, a = np.nonzero(inside)
+                x = X[a] + lam[inside][:, None] * (X[a + 1] - X[a])
+                found.append(np.arctan2(x[:, 1], x[:, 0]))
+    return _sorted_unique(np.mod(np.concatenate(found), math.pi))
+
+
+def _merged_scan(norm: Norm, a: _ChordScan, b: _ChordScan) -> _ChordScan:
+    """The rows of chord scan a, then those of b."""
+    return _ChordScan(norm, np.concatenate([a.thetas, b.thetas]), np.concatenate([a.X, b.X]), map(np.concatenate, zip(a.Zs, b.Zs)))
+
+
+def _midpoint_weight(kind: ModulusKind) -> float | None:
+    """The weight t of a kind whose sup can sit where the midpoint
+    t x + (1 - t) z switches facets (banas and beta-t), else None."""
+    return 0.5 if kind.name == "banas" else kind.t if kind.name == "beta-t" else None
+
+
+def _enumerate_chord_kinds(norm: Norm, polygon, points, dual: Norm | None) -> list[tuple[float, float]]:
+    """(value, theta_x) of each chord point (kind, eps) on a polygonal norm:
+    the extreme of its table over the breakpoint angles of its eps
+    (_breakpoint_angles), and for banas and beta-t also over the midpoint
+    angles of their weight (_midpoint_angles), at the first extremal row.
+
+    Between two consecutive breakpoints every configuration of the table is
+    affine in the position of x on its edge, so phi, gamma and d are affine
+    (d constant) and reach their extremes at the ends, as do the midpoint
+    kinds' infs, which are concave there; their sups can also sit where the
+    midpoint's active facet switches, which the midpoint angles add. Each eps
+    has one chord solve over its breakpoints, and each banas or beta-t weight
+    one more over its midpoint angles."""
+    keys = [(eps, _midpoint_weight(kind)) for kind, eps in points]
+    eps_values = list(dict.fromkeys(eps for eps, _ in keys))
+    requests = list(zip(eps_values, _breakpoint_angles(norm, polygon, eps_values)))
+    scans = {(eps, None): scan for eps, scan in zip(eps_values, _chord_scans(norm, requests))}
+    weights = [key for key in dict.fromkeys(keys) if key[1] is not None]
+    if weights:
+        events = _chord_scans(norm, [(eps, _midpoint_angles(polygon, scans[eps, None], t)) for eps, t in weights])
+        scans.update({(eps, t): _merged_scan(norm, scans[eps, None], scan) for (eps, t), scan in zip(weights, events)})
+    out = []
+    for (kind, _), key in zip(points, keys):
+        scan = scans[key]
+        V, _ = _chord_table(norm, kind, scan, dual)
+        values = np.max(V, axis=0) if kind.is_sup() else np.min(V, axis=0)
+        row = int(np.argmax(values) if kind.is_sup() else np.argmin(values))
+        out.append((float(values[row]), float(scan.thetas[row])))
+    return out
+
+
 # -- witnesses -----------------------------------------------------------------
 
 
@@ -822,11 +955,14 @@ def modulus(
     grid of grid_n_2d points per full turn on each axis. Every norm is
     origin-symmetric, so the searches run over the half turn [0, pi), and
     over [0, pi)^2, with max(64, ceil(grid_n / 2)) points per axis (see the
-    module docstring). Both must be at least 64 and cone_samples at least 0,
-    whatever the kind and eps, or InputError is raised.
-    chord_scans lets the chord kinds of one run share their coarse chord
-    solve (see ChordScans); without it each call solves its own. This is
-    modulus_batch for a single point, raising the error it would return.
+    module docstring). The chord kinds on a polygonal norm are enumerated
+    exactly instead, and grid_n and refine_rounds do not change them. grid_n
+    and grid_n_2d must be at least 64, cone_samples at least 0 and
+    refine_rounds an integer of at least 1, whatever the kind and eps, or
+    InputError is raised. chord_scans lets the chord kinds of one run on a
+    smooth norm share their coarse chord solve (see ChordScans); without it
+    each call solves its own. This is modulus_batch for a single point,
+    raising the error it would return.
     """
     (out,) = _solve(norm, [(kind, eps)], grid_n, refine_rounds, cone_samples, grid_n_2d, chord_scans)
     if isinstance(out, Exception):
@@ -846,16 +982,19 @@ def modulus_batch(
 ) -> list:
     """Many points (kind, eps) of one norm, solved together on one path.
 
-    Every point is one search of the one objective (_objective) over its
-    configuration tables. The single-angle points run as one lockstep
+    On a polygonal norm the chord kinds are enumerated at their breakpoint
+    angles, with one chord solve per eps for all of them (and one more per
+    banas or beta-t weight); grid_n and refine_rounds do not affect them.
+    Every other point is one search of the one objective (_objective) over
+    its configuration tables. The single-angle points run as one lockstep
     extremize_batch, so each engine step makes one objective call for all of
-    them: one chord solve for every chord kind (with the coarse scans shared
-    through chord_scans, as in modulus) and one quasi-normal pass for the
-    lambda and zeta kinds. The rho and milman points are searched one at a
-    time (see _solve). All witnesses come from one table pass at the winning
-    angles (see _describe_theta). Each entry of the result is the CurveSample
-    that modulus returns for that point (equal with ==, witness included) or
-    the DomainError that it raises.
+    them: one chord solve for every chord kind of a smooth norm (with the
+    coarse scans shared through chord_scans, as in modulus) and one
+    quasi-normal pass for the lambda and zeta kinds. The rho and milman
+    points are searched one at a time (see _solve). All witnesses come from
+    one table pass at the winning angles (see _describe_theta). Each entry of
+    the result is the CurveSample that modulus returns for that point (equal
+    with ==, witness included) or the DomainError that it raises.
     """
     if len(points) == 1:
         # a lone point is a modulus() call, so that per-point profiling (such
@@ -883,17 +1022,20 @@ def _mode(kind: ModulusKind) -> str:
 
 def _solve(norm: Norm, points, grid_n, refine_rounds, cone_samples, grid_n_2d, chord_scans) -> list:
     """modulus_batch without the lone-point routing: the settings are checked
-    first, then the domain errors and eps = 0 conventions, then one Problem
-    per remaining point. The single-angle problems run as one lockstep
-    search; rho and milman run one at a time, since each coarse scan over
-    [0, pi)^2 is already thousands of rows, and a lockstep batch, which holds
-    the coarse grids of all its searches at once, raised the peak memory
-    without a measurable speed-up. One _describe_theta pass then gives every
-    witness."""
+    first, then the domain errors and eps = 0 conventions. The chord points
+    of a polygonal norm are enumerated (_enumerate_chord_kinds), and every
+    other point gets one Problem. The single-angle problems run as one
+    lockstep search; rho and milman run one at a time, since each coarse
+    scan over [0, pi)^2 is already thousands of rows, and a lockstep batch,
+    which holds the coarse grids of all its searches at once, raised the
+    peak memory without a measurable speed-up. One _describe_theta pass then
+    gives every witness."""
     if int(grid_n) < 64 or int(grid_n_2d) < 64:
         raise InputError("grid_n must be at least 64 per dimension")
     if int(cone_samples) < 0:
         raise InputError("cone_samples must be at least 0")
+    if isinstance(refine_rounds, bool) or not isinstance(refine_rounds, (int, np.integer)) or refine_rounds < 1:
+        raise InputError(f"refine_rounds must be an integer >= 1, got {refine_rounds!r}")
     out: list = []
     live = []
     for kind, eps in points:
@@ -911,34 +1053,36 @@ def _solve(norm: Norm, points, grid_n, refine_rounds, cone_samples, grid_n_2d, c
         return out
     points = [out[i] for i in live]
     two = [kind.name in _TWO_ANGLE_KINDS for kind, _ in points]
-    # polygon vertices, one per antipodal pair, are injected into every
-    # coarse scan, and for the chord kinds the angles whose chord partner is
-    # a vertex; rho and milman get the pairs of vertex angles
-    base = _half_turn_vertices(norm)
-    chord_eps = list(dict.fromkeys(eps for kind, eps in points if kind.name not in _QN_KINDS | _TWO_ANGLE_KINDS))
-    partners = dict(zip(chord_eps, _partner_angles(norm, base, chord_eps)))
-    pairs = np.stack([a.ravel() for a in np.meshgrid(base, base, indexing="ij")], axis=-1)
-    problems = []
-    for (kind, eps), is_two in zip(points, two):
-        if is_two:
-            extra = pairs
-        else:
-            extra = (base if kind.name in _QN_KINDS else np.concatenate([base, partners[eps]]))[:, None]
-        problems.append(Problem([(0.0, math.pi)] * extra.shape[1], _mode(kind), extra if extra.size else None))
     dual = norm.dual() if any(kind.name.startswith("d-") for kind, _ in points) else None
+    # (value, angles, tol) per point
+    results: list = [None] * len(points)
+    polygon = norm._polygon()
+    chord = [i for i, (kind, _) in enumerate(points) if polygon is not None and kind.name not in _QN_KINDS | _TWO_ANGLE_KINDS]
+    if chord:
+        for i, (value, theta) in zip(chord, _enumerate_chord_kinds(norm, polygon, [points[i] for i in chord], dual)):
+            results[i] = (value, np.array([theta]), _POLYGON_TOL)
+    # polygon vertices, one per antipodal pair, are injected into every
+    # coarse scan of the lambda and zeta kinds; rho and milman get the pairs
+    # of vertex angles
+    base = _half_turn_vertices(norm)
+    pairs = np.stack([a.ravel() for a in np.meshgrid(base, base, indexing="ij")], axis=-1)
+    problems = {}
+    for i, (kind, _) in enumerate(points):
+        if results[i] is None:
+            extra = pairs if two[i] else base[:, None]
+            problems[i] = Problem([(0.0, math.pi)] * extra.shape[1], _mode(kind), extra if extra.size else None)
     scans = ChordScans() if chord_scans is None else chord_scans
     chords = lambda r: scans.chords(norm, grid_n, r)  # noqa: E731
-    results = [None] * len(points)
-    one = [i for i, is_two in enumerate(two) if not is_two]
-    groups = ([(one, grid_n)] if one else []) + [([i], grid_n_2d) for i, is_two in enumerate(two) if is_two]
+    one = [i for i in problems if not two[i]]
+    groups = ([(one, grid_n)] if one else []) + [([i], grid_n_2d) for i in problems if two[i]]
     for group, n in groups:
         objective = _objective(norm, [points[i] for i in group], dual, cone_samples, chords)
         searched = _extremize_all(objective, [problems[i] for i in group], grid_n=_half_turn_points(n), refine_rounds=refine_rounds)
         for i, res in zip(group, searched):
-            results[i] = res
-    witnesses = _describe_theta(norm, points, [res.point for res in results], dual, cone_samples)
-    for i, (_, eps), res, witness, is_two in zip(live, points, results, witnesses, two):
-        out[i] = CurveSample(eps, float(res.value), int(grid_n_2d if is_two else grid_n), max(float(res.tol), 1e-12), witness)
+            results[i] = (float(res.value), res.point, max(float(res.tol), 1e-12))
+    witnesses = _describe_theta(norm, points, [angles for _, angles, _ in results], dual, cone_samples)
+    for i, (_, eps), (value, _, tol), witness, is_two in zip(live, points, results, witnesses, two):
+        out[i] = CurveSample(eps, value, int(grid_n_2d if is_two else grid_n), tol, witness)
     return out
 
 

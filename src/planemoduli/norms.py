@@ -297,6 +297,7 @@ class PolygonNorm(Norm):
             raise RepresentationError("origin is not strictly interior")
         self.vertices = V
         self._functionals = N / c[:, None]
+        self._vertex_pairs = tuple((float(a), float(b)) for a, b in V)
 
     def _scores(self, a):
         """<F_j, a> for each facet functional F_j and each point of a, shape
@@ -345,7 +346,10 @@ class PolygonNorm(Norm):
         return self
 
     def to_json_dict(self):
-        return {"kind": "polygon", "vertices": [[float(a), float(b)] for a, b in self.vertices]}
+        # the vertices are one tuple of pairs shared by every dict: reports
+        # carry a norm's spec in each record, and a fresh list of float lists
+        # each time made up a third of a probe report's memory
+        return {"kind": "polygon", "vertices": self._vertex_pairs}
 
 
 # -- constructors and serialization ----------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from planemoduli import (
 )
 from planemoduli import moduli
 from planemoduli import modulus_batch
+from planemoduli.engine import Problem, extremize_batch
 from planemoduli.moduli import KIND_NAMES, ChordScans, CurveSample, _objective, kind_domain
 from planemoduli.verify import ModulusCache, SuiteSettings, _sample_family, _sample_polygon, norm_label, standard_norms
 
@@ -606,9 +608,8 @@ SCAN_SETTINGS = SuiteSettings(grid_n=96, refine_rounds=3, cone_samples=9, grid_n
 
 def _coarse_rows(norm):
     # the half-turn grid, with the spacing of grid_n points per full turn and
-    # at least 64 points, then per antipodal vertex pair its angle and the two
-    # chord-partner angles
-    return max(64, -(-SCAN_SETTINGS.grid_n // 2)) + 3 * (len(norm.special_angles()) // 2)
+    # at least 64 points
+    return max(64, -(-SCAN_SETTINGS.grid_n // 2))
 
 
 @pytest.mark.parametrize("norm", ROW_NORMS, ids=("lp3", "hexagon", "random-polygon"))
@@ -618,10 +619,12 @@ def test_shared_chord_scans_match_fresh_points(norm):
         for token in CHORD_TOKENS:
             shared = cache.sample(norm, K(token), eps)
             assert shared == modulus(norm, K(token), eps, **SCAN_SETTINGS.modulus_kwargs()), (token, eps)
-    assert len(cache.chord_scans) == 2
+    # the engine's coarse scans are kept, one per eps; the chord kinds of a
+    # polygonal norm are enumerated, not searched, and keep none
+    assert len(cache.chord_scans) == (0 if norm._polygon() is not None else 2)
 
 
-@pytest.mark.parametrize("norm", ROW_NORMS, ids=("lp3", "hexagon", "random-polygon"))
+@pytest.mark.parametrize("norm", ROW_NORMS[:1], ids=("lp3",))
 def test_chord_kinds_bisect_the_coarse_grid_once(norm, monkeypatch):
     eps = 0.9
     rows = []
@@ -632,26 +635,23 @@ def test_chord_kinds_bisect_the_coarse_grid_once(norm, monkeypatch):
         return bisect(norm, thetas, *args)
 
     monkeypatch.setattr(moduli, "_chord_offsets_rows", counted)
-    # two branches on lp3, four on the polygons
+    # the near end on each arc side
     coarse_rows = len(moduli._chord_branches(norm)) * _coarse_rows(norm)
-    partner_rows = 2 * (len(norm.special_angles()) // 2)
     # one kind at a time, and all ten kinds as one batch
-    for fill, batches in (
-        (lambda cache: [cache.sample(norm, K(token), eps) for token in CHORD_TOKENS], len(CHORD_TOKENS)),
-        (lambda cache: cache.sample_many(norm, [(K(token), eps) for token in CHORD_TOKENS]), 1),
+    for fill in (
+        lambda cache: [cache.sample(norm, K(token), eps) for token in CHORD_TOKENS],
+        lambda cache: cache.sample_many(norm, [(K(token), eps) for token in CHORD_TOKENS]),
     ):
         rows.clear()
         fill(ModulusCache(SCAN_SETTINGS))
         assert rows.count(coarse_rows) == 1
-        # the vertex chord-partner angles are bisected once per batch
-        assert rows.count(partner_rows) == (batches if partner_rows else 0)
     rows.clear()
     for token in CHORD_TOKENS:
         modulus(norm, K(token), eps, **SCAN_SETTINGS.modulus_kwargs())
     assert rows.count(coarse_rows) == len(CHORD_TOKENS)
 
 
-@pytest.mark.parametrize("norm", ROW_NORMS, ids=("lp3", "hexagon", "random-polygon"))
+@pytest.mark.parametrize("norm", ROW_NORMS[:1], ids=("lp3",))
 def test_kept_scans_compute_their_supports_once(norm, monkeypatch):
     eps = 0.9
     rows = []
@@ -699,6 +699,109 @@ def test_polygon_chord_chunks_keep_the_bits(monkeypatch):
     whole = modulus_batch(ROW_NORMS[2], points, **BATCH_SETTINGS)
     monkeypatch.setattr(moduli, "_POLYGON_CHUNK", 7)
     assert modulus_batch(ROW_NORMS[2], points, **BATCH_SETTINGS) == whole
+
+
+# -- chord kinds on polygonal norms, enumerated at their breakpoints ---------------
+
+PROBE_EPS = (1e-6, 0.3, 1.5, 1.999998, 2.0)
+
+
+@pytest.mark.parametrize("norm", ROW_NORMS[1:], ids=("hexagon", "random-polygon"))
+def test_polygon_chord_kinds_solve_once_per_batch(norm, monkeypatch):
+    # no engine search: per batch, one chord solve finds the vertices'
+    # partners at every eps, one solves the chords at every breakpoint angle,
+    # one at the midpoint angles of banas and beta-t, and one the witnesses;
+    # each breakpoint scan's supports are computed once for all ten kinds
+    eps_values = (0.9, 1.6)
+    rows, support_rows = [], []
+    chord, cls = moduli._chord_offsets_rows, type(norm)
+    support = cls._support_batch
+
+    def counted_chord(norm, thetas, *args):
+        rows.append(len(thetas))
+        return chord(norm, thetas, *args)
+
+    def counted_support(self, X):
+        support_rows.append(len(X))
+        return support(self, X)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a polygon chord kind reached the engine")
+
+    breakpoints = moduli._breakpoint_angles(norm, norm._polygon(), eps_values)
+    monkeypatch.setattr(moduli, "_chord_offsets_rows", counted_chord)
+    monkeypatch.setattr(cls, "_support_batch", counted_support)
+    monkeypatch.setattr(moduli, "extremize", no_search)
+    monkeypatch.setattr(moduli, "extremize_batch", no_search)
+    points = [(K(token), eps) for token in CHORD_TOKENS for eps in eps_values]
+    samples = modulus_batch(norm, points, **BATCH_SETTINGS)
+    assert all(isinstance(s, CurveSample) and s.refine_tol == moduli._POLYGON_TOL for s in samples)
+    branches = len(moduli._chord_branches(norm))
+    assert len(rows) == 4
+    assert rows[0] == branches * len(moduli._half_turn_vertices(norm)) * len(eps_values)
+    assert rows[1] == branches * sum(len(b) for b in breakpoints)
+    assert rows[3] == branches * len(points)
+    # x and each branch's partners, per eps; the witnesses' are one-row scans
+    want = Counter()
+    for angles in breakpoints:
+        want[len(angles)] += 1 + branches
+    assert Counter(n for n in support_rows if n > 1) == want
+    # a lone point takes the same path and gets the same sample
+    assert modulus(norm, *points[0], **BATCH_SETTINGS) == samples[0]
+
+
+@pytest.mark.parametrize("norm", (SQUARE, HEXAGON, *ROW_NORMS[2:]), ids=("lp-inf", "hexagon", "random-polygon"))
+def test_polygon_breakpoints_hold_the_vertex_angles(norm):
+    # sorted angles in [0, pi) that hold every vertex angle mod pi, at every eps
+    vertices = moduli._half_turn_vertices(norm)
+    for eps, angles in zip(PROBE_EPS, moduli._breakpoint_angles(norm, norm._polygon(), PROBE_EPS)):
+        assert np.all(np.diff(angles) > 0.0) and angles[0] >= 0.0 and angles[-1] < math.pi
+        assert np.all(np.isin(vertices, angles)), eps
+
+
+def test_chord_direction_angles_on_the_square():
+    # on the max-norm square the chords x - z = eps (1, 1) and eps (-1, 1)
+    # start at (1, eps - 1), (eps - 1, 1), (1 - eps, 1) and (-1, eps - 1)
+    polygon = SQUARE._polygon()
+    for eps in (0.3, 1.5):
+        got = moduli._chord_direction_angles(polygon, eps)
+        starts = np.array([(1.0, eps - 1.0), (eps - 1.0, 1.0), (1.0 - eps, 1.0), (-1.0, eps - 1.0)])
+        want = np.mod(np.arctan2(starts[:, 1], starts[:, 0]), math.pi)
+        assert np.allclose(np.sort(np.unique(np.round(got, 12))), np.sort(want), atol=1e-12), eps
+
+
+ENUMERATED_NORMS = (
+    HEXAGON,
+    regular_polygon_norm(8),
+    lp_norm(1),
+    SQUARE,
+    weighted_lp_norm(1, 3, 0.5),
+    *(norm for _, norm in _sample_family("random-polygons", 6, np.random.default_rng(18))[0]),
+)
+
+
+@pytest.mark.parametrize("norm", ENUMERATED_NORMS, ids=("hexagon", "octagon", "lp1", "lp-inf", "weighted-lp1", *(f"random-{i}" for i in range(6))))
+def test_enumerated_chord_moduli_bound_a_fine_engine_search(norm):
+    # every value an engine search returns is attained by some configuration,
+    # so the enumerated inf is at most a fine search's value, and the
+    # enumerated sup at least it, up to the stated rounding bound; the search
+    # has the vertex angles and their chord partners injected; every witness
+    # replays to its sample value bit for bit
+    points = [(K(token), eps) for token in CHORD_TOKENS for eps in PROBE_EPS]
+    samples = modulus_batch(norm, points, **SuiteSettings().modulus_kwargs())
+    vertices = moduli._half_turn_vertices(norm)
+    partners = moduli._partner_angles(norm, vertices, list(PROBE_EPS))
+    extra = dict(zip(PROBE_EPS, partners))
+    problems = [Problem([(0.0, math.pi)], "sup" if kind.is_sup() else "inf", np.concatenate([vertices, extra[eps]])[:, None]) for kind, eps in points]
+    objective = _objective(norm, points, norm.dual(), 9, lambda requests: moduli._chord_scans(norm, requests))
+    searched = extremize_batch(objective, problems, grid_n=2048, refine_rounds=8)
+    off = []
+    for (kind, eps), s, res in zip(points, samples, searched):
+        assert reevaluate_witness(norm, kind, eps, s.witness) == s.value, (kind.token(), eps)
+        gap = res.value - s.value if kind.is_sup() else s.value - res.value
+        if gap > s.refine_tol:
+            off.append((kind.token(), eps, s.value, res.value))
+    assert off == []
 
 
 # norms whose sharp vertices round the evaluated chord to the antipode below 2
@@ -763,19 +866,32 @@ def test_grid_below_the_floor_is_rejected():
         assert main(argv) == 2
 
 
+def test_refine_rounds_is_checked_up_front():
+    # the engine checks refine_rounds, but points that never reach it (eps 0,
+    # and the chord kinds of a polygonal norm) are checked all the same
+    from planemoduli.cli import main
+
+    message = "refine_rounds must be an integer >= 1"
+    for bad in (0, -1, True, 1.5):
+        for kind, eps in ((K("delta"), 0.0), (K("delta"), 0.5), (K("phi-plus"), 0.5), (K("rho"), 0.0)):
+            with pytest.raises(InputError, match=message):
+                modulus(HEXAGON, kind, eps, refine_rounds=bad)
+        with pytest.raises(InputError, match=message):
+            modulus_batch(LP3, [(K("delta"), 0.0), (K("zeta-plus"), 0.0)], refine_rounds=bad)
+    for eps in ("0", "0.5"):
+        assert main(["compute", "--norm", "hexagon", "--modulus", "delta", "--eps", eps, "--refine-rounds", "0"]) == 2
+
+
 def test_kept_chord_scan_is_the_first_half_of_the_full_turn_grid():
     # the half turn keeps the full turn's spacing, not its point count: its
-    # cell centres are the first grid_n / 2 of the full turn's, bit for bit,
-    # followed by one vertex angle per antipodal pair and its two partners
+    # cell centres are the first grid_n / 2 of the full turn's, bit for bit
     settings = SuiteSettings()
     scans = ChordScans()
-    modulus(HEXAGON, K("phi-plus"), 0.7, **settings.modulus_kwargs(), chord_scans=scans)
+    modulus(LP3, K("phi-plus"), 0.7, **settings.modulus_kwargs(), chord_scans=scans)
     (scan,) = scans._scans.values()
     half = settings.grid_n // 2
     grid = (np.arange(half) + 0.5) * (2.0 * math.pi / settings.grid_n)
-    assert scan.thetas[:half].tobytes() == grid.tobytes()
-    assert len(scan.thetas) == half + 3 * 3
-    assert np.all((scan.thetas >= 0.0) & (scan.thetas < math.pi))
+    assert scan.thetas.tobytes() == grid.tobytes()
 
 
 def test_two_angle_witnesses_replay_their_sample_values():

@@ -349,6 +349,17 @@ def test_json_round_trip():
         assert np.allclose(norm(pts), clone(pts), atol=1e-15)
 
 
+def test_polygon_spec_is_one_immutable_vertex_list():
+    # every spec of a polygon shares one tuple of vertex pairs, which no
+    # holder of a spec can change, and serializes as the list of lists
+    hexagon = regular_polygon_norm(6)
+    a, b = hexagon.to_json_dict(), hexagon.to_json_dict()
+    assert a is not b and a["vertices"] is b["vertices"]
+    assert all(isinstance(v, tuple) for v in a["vertices"])
+    listed = {"kind": "polygon", "vertices": [[float(x), float(y)] for x, y in hexagon.vertices]}
+    assert json.dumps(a, sort_keys=True) == json.dumps(listed, sort_keys=True)
+
+
 def test_json_inf_token():
     n = norm_from_json({"kind": "lp", "p": "inf"})
     assert math.isinf(n.p)

@@ -185,8 +185,8 @@ def test_failing_check_reproduces_from_witness():
 
 def _false_phi_minus_record():
     # phi-minus on lp:1 is 0 at eps = 1.999998, so phi-minus(eps) >= 1 is
-    # false by a margin of -1; there refine_tol is about 4, the size of the
-    # objective's jump at the facet-length chords, and sigma is that estimate
+    # false by a margin of -1; lp:1 is polygonal, so the value is enumerated
+    # and sigma is its rounding bound, far too small to excuse the margin
     if "test-phi-minus-floor" not in check_ids():
         phi = ModulusKind("phi-minus")
         fn = lambda eps: [Relation("1 <= phi-minus(eps)", -1.0, (Term(1.0, phi, eps),))]  # noqa: E731
@@ -203,7 +203,6 @@ def test_false_phi_minus_claim_has_margin_minus_one():
     assert rec.worst_margin == pytest.approx(-1.0, abs=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="sigma is a refine_tol estimate, not a bound, and excuses the false claim (ROADMAP item 1)")
 def test_false_phi_minus_claim_fails():
     assert _false_phi_minus_record().status == "fail"
 
