@@ -624,7 +624,16 @@ def test_shared_chord_scans_match_fresh_points(norm):
     assert len(cache.chord_scans) == (0 if norm._polygon() is not None else 2)
 
 
-@pytest.mark.parametrize("norm", ROW_NORMS[:1], ids=("lp3",))
+def _scan_rows(norm, eps):
+    # the rows of one chord scan: the kept coarse grid, or on a polygonal
+    # norm the breakpoint angles of eps, which are enumerated and not kept
+    if norm._polygon() is None:
+        return _coarse_rows(norm)
+    (angles,) = moduli._breakpoint_angles(norm, norm._polygon(), [eps])
+    return len(angles)
+
+
+@pytest.mark.parametrize("norm", ROW_NORMS, ids=("lp3", "hexagon", "random-polygon"))
 def test_chord_kinds_bisect_the_coarse_grid_once(norm, monkeypatch):
     eps = 0.9
     rows = []
@@ -634,24 +643,25 @@ def test_chord_kinds_bisect_the_coarse_grid_once(norm, monkeypatch):
         rows.append(len(thetas))
         return bisect(norm, thetas, *args)
 
+    kept = norm._polygon() is None
+    scan_rows = len(moduli._chord_branches(norm)) * _scan_rows(norm, eps)
     monkeypatch.setattr(moduli, "_chord_offsets_rows", counted)
-    # the near end on each arc side
-    coarse_rows = len(moduli._chord_branches(norm)) * _coarse_rows(norm)
-    # one kind at a time, and all ten kinds as one batch
-    for fill in (
-        lambda cache: [cache.sample(norm, K(token), eps) for token in CHORD_TOKENS],
-        lambda cache: cache.sample_many(norm, [(K(token), eps) for token in CHORD_TOKENS]),
+    # one kind at a time, and all ten kinds as one batch: a kept scan is
+    # bisected once across both, a polygon's breakpoints once per batch
+    for fill, batches in (
+        (lambda cache: [cache.sample(norm, K(token), eps) for token in CHORD_TOKENS], len(CHORD_TOKENS)),
+        (lambda cache: cache.sample_many(norm, [(K(token), eps) for token in CHORD_TOKENS]), 1),
     ):
         rows.clear()
         fill(ModulusCache(SCAN_SETTINGS))
-        assert rows.count(coarse_rows) == 1
+        assert rows.count(scan_rows) == (1 if kept else batches)
     rows.clear()
     for token in CHORD_TOKENS:
         modulus(norm, K(token), eps, **SCAN_SETTINGS.modulus_kwargs())
-    assert rows.count(coarse_rows) == len(CHORD_TOKENS)
+    assert rows.count(scan_rows) == len(CHORD_TOKENS)
 
 
-@pytest.mark.parametrize("norm", ROW_NORMS[:1], ids=("lp3",))
+@pytest.mark.parametrize("norm", ROW_NORMS, ids=("lp3", "hexagon", "random-polygon"))
 def test_kept_scans_compute_their_supports_once(norm, monkeypatch):
     eps = 0.9
     rows = []
@@ -664,10 +674,15 @@ def test_kept_scans_compute_their_supports_once(norm, monkeypatch):
 
     monkeypatch.setattr(cls, "_support_batch", counted)
     cache = ModulusCache(SCAN_SETTINGS)
-    for token in CHORD_TOKENS:
-        cache.sample(norm, K(token), eps)
+    if norm._polygon() is None:
+        # a kept scan serves the ten kinds asked one at a time
+        for token in CHORD_TOKENS:
+            cache.sample(norm, K(token), eps)
+    else:
+        # a polygon's breakpoint scan is not kept; it serves one batch
+        cache.sample_many(norm, [(K(token), eps) for token in CHORD_TOKENS])
     # X and the partner array of each branch, once each, across the ten kinds
-    assert rows.count(_coarse_rows(norm)) == 1 + len(moduli._chord_branches(norm))
+    assert rows.count(_scan_rows(norm, eps)) == 1 + len(moduli._chord_branches(norm))
 
 
 def test_chord_scans_are_read_only_and_keyed_on_exact_eps():
