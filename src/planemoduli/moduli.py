@@ -60,11 +60,13 @@ the chord kinds (_chord_table), one quasi-normal pass for the lambda and
 zeta kinds (_qn_tables) and two sphere points for rho and milman. The one
 objective, _objective, reduces each table with one max or min over the
 configuration axis, and the enumeration reduces the chord tables of its
-breakpoint scans the same way. The witnesses of a batch come from one more
-_tables call, on one-row scans at the winning angles: each is the first
-extremal configuration of its point's table, and since a row has the same
-bits alone as in a batch, its value is the sample value. reevaluate_witness
-applies the same value expression (_config_value) to the stored fields.
+breakpoint scans the same way. A witness is the first extremal configuration
+of its point's table at the winning row (_witness): an enumerated point reads
+it from the breakpoint table its value came from, and the searched points of
+a batch get theirs from one more _tables call, on one-row scans at the
+winning angles, where, since a row has the same bits alone as in a batch,
+its value is the sample value. reevaluate_witness applies the same value
+expression (_config_value) to the stored fields.
 """
 
 from __future__ import annotations
@@ -76,14 +78,13 @@ import numpy as np
 
 from .engine import Problem, bracketed_roots, extremize, extremize_batch
 from .errors import DomainError, InputError, UnsupportedNormError
-from .norms import Norm, norm_key, norm_to_json_dict, perp
+from .norms import Norm, norm_to_json_dict, perp
 from .triangle import lambda_point_batch
 
 __all__ = [
     "ModulusKind",
     "CurveSample",
     "ModulusCurve",
-    "ChordScans",
     "KIND_NAMES",
     "delta_t",
     "beta_t",
@@ -434,33 +435,30 @@ class _ChordScan:
 
     def __init__(self, norm: Norm, thetas: np.ndarray, X: np.ndarray, Zs):
         self.norm, self.thetas, self.X, self.Zs = norm, thetas, X, tuple(Zs)
-        self._frozen = False
         self._x_support = None
         self._z_supports = None
 
-    def freeze(self) -> "_ChordScan":
-        """Own copies of the arrays, read-only from now on, supports included."""
-        self.thetas = np.array(self.thetas, dtype=float)
-        self.X, self.Zs = self.X.copy(), tuple(Z.copy() for Z in self.Zs)
-        self._frozen = True
-        self._read_only(self.thetas, self.X, *self.Zs)
-        return self
-
-    def _read_only(self, *arrays):
-        if self._frozen:
-            for a in arrays:
-                a.setflags(write=False)
-        return arrays
-
     def x_support(self) -> tuple[np.ndarray, np.ndarray]:
         if self._x_support is None:
-            self._x_support = self._read_only(*self.norm._support_batch(self.X))
+            self._x_support = self.norm._support_batch(self.X)
         return self._x_support
 
     def z_supports(self) -> list[tuple[np.ndarray, np.ndarray]]:
         if self._z_supports is None:
-            self._z_supports = [self._read_only(*self.norm._support_batch(Z)) for Z in self.Zs]
+            self._z_supports = [self.norm._support_batch(Z) for Z in self.Zs]
         return self._z_supports
+
+
+def _branch_offsets(norm: Norm, thetas: np.ndarray, X: np.ndarray, eps: np.ndarray, branches) -> tuple:
+    """The rows of one chord solve over the chord branches (side, end): every
+    angle of thetas, with its sphere point X and chord length eps, on each
+    branch in turn. Returns the rows' angles and arc sides, and their offsets
+    u from _chord_offsets_rows, branch-major."""
+    b, n = len(branches), len(thetas)
+    sides = np.repeat([s for s, _ in branches], n)
+    is_far = np.repeat([e == "far" for _, e in branches], n)
+    rows = np.tile(thetas, b)
+    return rows, sides, _chord_offsets_rows(norm, rows, np.tile(X, (b, 1)), np.tile(eps, b), sides, is_far)
 
 
 def _chord_scans(norm: Norm, requests) -> list[_ChordScan]:
@@ -468,21 +466,29 @@ def _chord_scans(norm: Norm, requests) -> list[_ChordScan]:
     sphere points X at the angles and their chord partners Z with
     ||X - Z|| = eps, one array per branch of _chord_branches (both ends of
     the level set on both arc sides on a polygonal norm, the one point on
-    each side on a strictly convex one)."""
-    thetas = [th for _, th in requests]
+    each side on a strictly convex one). Identical requests (equal eps and
+    thetas) share one scan, solved once, so that the chord kinds of one
+    objective call share their chords and supports."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (eps, th) in enumerate(requests):
+        groups.setdefault((eps, th.tobytes()), []).append(i)
+    if not groups:
+        return []
+    eps, thetas = zip(*(requests[ix[0]] for ix in groups.values()))
     sizes = [len(th) for th in thetas]
-    X = norm.sphere_point(np.concatenate(thetas))
+    angles = np.concatenate(thetas)
+    X = norm.sphere_point(angles)
     branches = _chord_branches(norm)
-    b, n = len(branches), len(X)
-    sides = np.repeat([s for s, _ in branches], n)
-    is_far = np.repeat([e == "far" for _, e in branches], n)
-    rows = np.tile(np.concatenate(thetas), b)
-    eps = np.tile(np.repeat([eps for eps, _ in requests], sizes), b)
-    u = _chord_offsets_rows(norm, rows, np.tile(X, (b, 1)), eps, sides, is_far)
-    Zs = np.split(norm.sphere_point(rows + sides * u), b)
+    rows, sides, u = _branch_offsets(norm, angles, X, np.repeat(eps, sizes), branches)
+    Zs = np.split(norm.sphere_point(rows + sides * u), len(branches))
     cuts = np.cumsum(sizes)[:-1]
     parts = zip(np.split(X, cuts), *(np.split(Z, cuts) for Z in Zs))
-    return [_ChordScan(norm, th, x, zs) for th, (x, *zs) in zip(thetas, parts)]
+    out = [None] * len(requests)
+    for ix, th, (x, *zs) in zip(groups.values(), thetas, parts):
+        scan = _ChordScan(norm, th, x, zs)
+        for i in ix:
+            out[i] = scan
+    return out
 
 
 def _half_turn_vertices(norm: Norm) -> np.ndarray:
@@ -498,50 +504,6 @@ def _half_turn_points(grid_n) -> int:
     full turn: the full turn's spacing 2 pi / grid_n, and at least the
     engine's 64."""
     return max(64, -(-int(grid_n) // 2))
-
-
-class ChordScans:
-    """The coarse chord scans of one run, keyed by (norm, eps, grid_n).
-
-    On a smooth norm the chord kinds (delta, banas, delta-t, beta-t, phi,
-    gamma, d) solve the same chords ||x - z|| = eps on the same coarse theta
-    grid and differ only in what they evaluate on them. The first chord scan
-    of a key is the engine's coarse scan: its thetas, sphere points X and
-    partners Zs are kept read-only, together with their support endpoints
-    once a kind needs them, and a later request reuses the scan only when its
-    theta array is bitwise identical to the kept one. Refine stencils are
-    never kept. On a polygonal norm the chord kinds run no engine search and
-    keep nothing here: each batch solves its breakpoint scans once for all
-    its chord kinds (_enumerate_chord_kinds).
-    """
-
-    def __init__(self):
-        self._scans: dict[tuple, _ChordScan] = {}
-
-    def __len__(self) -> int:
-        return len(self._scans)
-
-    def chords(self, norm: Norm, grid_n: int, requests) -> list:
-        """A _ChordScan per (eps, thetas) request. Requests that match a kept
-        scan reuse it; all others go through one chord solve, in which
-        identical requests (equal eps and thetas) are solved once."""
-        nkey = norm_key(norm)
-        out = [None] * len(requests)
-        groups: dict[tuple, list[int]] = {}
-        for i, (eps, th) in enumerate(requests):
-            kept = self._scans.get((nkey, eps, int(grid_n)))
-            if kept is not None and kept.thetas.shape == th.shape and kept.thetas.tobytes() == th.tobytes():
-                out[i] = kept
-            else:
-                groups.setdefault((eps, th.tobytes()), []).append(i)
-        firsts = [requests[ix[0]] for ix in groups.values()]
-        for (eps, _), ix, scan in zip(groups, groups.values(), _chord_scans(norm, firsts) if firsts else []):
-            key = (nkey, eps, int(grid_n))
-            if key not in self._scans:
-                self._scans[key] = scan = scan.freeze()
-            for i in ix:
-                out[i] = scan
-        return out
 
 
 # -- configuration tables ------------------------------------------------------
@@ -743,12 +705,12 @@ def _qn_tables(norm: Norm, points, thetas, cone_samples: int) -> list[tuple[np.n
     return [(v, [{"x": x, "y": y[j], "y_sign": sign} for j, sign in enumerate(signs)]) for v, x, y in parts]
 
 
-def _tables(norm: Norm, points, Ps, dual: Norm | None, cone_samples: int, chords) -> list[tuple[np.ndarray, list[dict]]]:
+def _tables(norm: Norm, points, Ps, dual: Norm | None, cone_samples: int) -> list[tuple[np.ndarray, list[dict]]]:
     """The tables of points (kind, eps) on their (N_i, d) angle arrays, one
     per point, with d = 2 (theta_x, theta_y) for rho and milman and d = 1
-    otherwise. chords(requests) maps (eps, thetas) requests to chord scans,
-    as ChordScans.chords does; all chord kinds share one such call, and the
-    lambda and zeta kinds one _qn_tables pass."""
+    otherwise. All chord kinds share one _chord_scans call, in which points
+    with the same eps and angles share a scan, and the lambda and zeta kinds
+    one _qn_tables pass."""
     out = [None] * len(points)
     chord, qn = [], []
     for i, (kind, eps) in enumerate(points):
@@ -758,23 +720,21 @@ def _tables(norm: Norm, points, Ps, dual: Norm | None, cone_samples: int, chords
             out[i] = (_config_value(norm, kind, eps, f, None)[None], [f])
         else:
             (qn if kind.name in _QN_KINDS else chord).append(i)
-    if chord:
-        for i, scan in zip(chord, chords([(points[i][1], Ps[i][:, 0]) for i in chord])):
-            out[i] = _chord_table(norm, points[i][0], scan, dual)
+    for i, scan in zip(chord, _chord_scans(norm, [(points[i][1], Ps[i][:, 0]) for i in chord])):
+        out[i] = _chord_table(norm, points[i][0], scan, dual)
     if qn:
         for i, table in zip(qn, _qn_tables(norm, [points[i] for i in qn], [Ps[i][:, 0] for i in qn], cone_samples)):
             out[i] = table
     return out
 
 
-def _objective(norm: Norm, points, dual: Norm | None, cone_samples: int, chords):
+def _objective(norm: Norm, points, dual: Norm | None, cone_samples: int):
     """The lockstep objective of points (kind, eps): a list of (N_i, d) angle
     arrays in, one per point, and their value arrays out, each the max or min
-    of the point's table over its configurations (_tables, with chords as
-    there)."""
+    of the point's table over its configurations (_tables)."""
 
     def objective(Ps):
-        tables = _tables(norm, points, Ps, dual, cone_samples, chords)
+        tables = _tables(norm, points, Ps, dual, cone_samples)
         return [np.max(V, axis=0) if kind.is_sup() else np.min(V, axis=0) for (kind, _), (V, _) in zip(points, tables)]
 
     return objective
@@ -786,14 +746,13 @@ def _objective(norm: Norm, points, dual: Norm | None, cone_samples: int, chords)
 def _partner_angles(norm: Norm, base: np.ndarray, eps_values) -> list[np.ndarray]:
     """Per eps, the angles mod pi whose chord partner at distance eps is the
     sphere point at a base angle: the near and far ends of the level set on
-    both arc sides of it, all in one chord solve."""
+    both arc sides of it, all in one chord solve. Each angle is
+    (theta + side*u) mod pi, from the base angle theta and its arc offset u."""
     n, m, b = len(base), len(eps_values), len(_CHORD_BRANCHES)
-    sides = np.tile(np.repeat([s for s, _ in _CHORD_BRANCHES], n), m)
-    is_far = np.tile(np.repeat([e == "far" for _, e in _CHORD_BRANCHES], n), m)
-    th = np.tile(base, b * m)
-    targets = np.tile(norm.sphere_point(base), (b * m, 1))
-    u = _chord_offsets_rows(norm, th, targets, np.repeat(eps_values, b * n), sides, is_far)
-    return np.split(np.mod(th + sides * u, math.pi), m)
+    X = np.tile(norm.sphere_point(base), (m, 1))
+    rows, sides, u = _branch_offsets(norm, np.tile(base, m), X, np.repeat(eps_values, n), _CHORD_BRANCHES)
+    # the rows run branch-major, then per eps; each eps gets its rows branch by branch
+    return list(np.mod(rows + sides * u, math.pi).reshape(b, m, n).swapaxes(0, 1).reshape(m, b * n))
 
 
 def _chord_direction_angles(polygon, eps: float) -> np.ndarray:
@@ -875,59 +834,63 @@ def _midpoint_weight(kind: ModulusKind) -> float | None:
     return 0.5 if kind.name == "banas" else kind.t if kind.name == "beta-t" else None
 
 
-def _enumerate_chord_kinds(norm: Norm, polygon, points, dual: Norm | None) -> list[tuple[float, float]]:
-    """(value, theta_x) of each chord point (kind, eps) on a polygonal norm:
+def _enumerate_chord_kinds(norm: Norm, polygon, points, dual: Norm | None) -> list[tuple[float, dict]]:
+    """(value, witness) of each chord point (kind, eps) on a polygonal norm:
     the extreme of its table over the breakpoint angles of its eps
     (_breakpoint_angles), and for banas and beta-t also over the midpoint
-    angles of their weight (_midpoint_angles), at the first extremal row.
+    angles of their weight (_midpoint_angles), with the witness read from
+    the same table at the first extremal row (_witness).
 
     Between two consecutive breakpoints every configuration of the table is
     affine in the position of x on its edge, so phi, gamma and d are affine
     (d constant) and reach their extremes at the ends, as do the midpoint
     kinds' infs, which are concave there; their sups can also sit where the
-    midpoint's active facet switches, which the midpoint angles add. Each eps
-    has one chord solve over its breakpoints, and each banas or beta-t weight
-    one more over its midpoint angles."""
+    midpoint's active facet switches, which the midpoint angles add. One
+    chord solve covers the breakpoints of every eps, and one more the
+    midpoint angles of every banas and beta-t weight."""
     keys = [(eps, _midpoint_weight(kind)) for kind, eps in points]
     eps_values = list(dict.fromkeys(eps for eps, _ in keys))
     requests = list(zip(eps_values, _breakpoint_angles(norm, polygon, eps_values)))
     scans = {(eps, None): scan for eps, scan in zip(eps_values, _chord_scans(norm, requests))}
     weights = [key for key in dict.fromkeys(keys) if key[1] is not None]
-    if weights:
-        events = _chord_scans(norm, [(eps, _midpoint_angles(polygon, scans[eps, None], t)) for eps, t in weights])
-        scans.update({(eps, t): _merged_scan(norm, scans[eps, None], scan) for (eps, t), scan in zip(weights, events)})
+    events = _chord_scans(norm, [(eps, _midpoint_angles(polygon, scans[eps, None], t)) for eps, t in weights])
+    scans.update({(eps, t): _merged_scan(norm, scans[eps, None], scan) for (eps, t), scan in zip(weights, events)})
     out = []
     for (kind, _), key in zip(points, keys):
         scan = scans[key]
-        V, _ = _chord_table(norm, kind, scan, dual)
-        values = np.max(V, axis=0) if kind.is_sup() else np.min(V, axis=0)
+        table = _chord_table(norm, kind, scan, dual)
+        values = np.max(table[0], axis=0) if kind.is_sup() else np.min(table[0], axis=0)
         row = int(np.argmax(values) if kind.is_sup() else np.argmin(values))
-        out.append((float(values[row]), float(scan.thetas[row])))
+        out.append((float(values[row]), _witness(kind, table, row, [scan.thetas[row]])))
     return out
 
 
 # -- witnesses -----------------------------------------------------------------
 
 
+def _witness(kind: ModulusKind, table, row: int, angles) -> dict:
+    """The witness at one row of a kind's table, scanned at the given angles
+    (theta_x, and theta_y for rho and milman): the row's first extremal
+    configuration, its fields as lists, and its value."""
+    V, configs = table
+    c = int(np.argmax(V[:, row]) if kind.is_sup() else np.argmin(V[:, row]))
+    fields = {n: f[row].tolist() if isinstance(f, np.ndarray) else f for n, f in configs[c].items()}
+    witness = {**dict(zip(("theta_x", "theta_y"), map(float, angles))), **fields}
+    if kind.name in _PARAMETRIC:
+        witness["t"] = kind.t
+    witness["value"] = float(V[c, row])
+    return witness
+
+
 def _describe_theta(norm: Norm, points, angles, dual: Norm | None, cone_samples: int) -> list[dict]:
-    """Witnesses of points (kind, eps) at their extremal angles (theta_x, and
-    theta_y for rho and milman): per point, the first extremal configuration
-    of its table on the one-row scan at its angles, all points in one _tables
-    pass. No scan is kept. The angles go in as one-row arrays, as the
-    objective gets them: a scalar angle can give a sphere point with other
-    last bits."""
+    """Witnesses of searched points (kind, eps) at their extremal angles
+    (theta_x, and theta_y for rho and milman): per point, the _witness of its
+    table on the one-row scan at its angles, all points in one _tables pass.
+    The angles go in as one-row arrays, as the objective gets them: a scalar
+    angle can give a sphere point with other last bits."""
     rows = [np.array([angle]) for angle in angles]
-    tables = _tables(norm, points, rows, dual, cone_samples, lambda r: _chord_scans(norm, r))
-    out = []
-    for (kind, _), row, (V, configs) in zip(points, rows, tables):
-        c = int(np.argmax(V[:, 0]) if kind.is_sup() else np.argmin(V[:, 0]))
-        fields = {n: f[0].tolist() if isinstance(f, np.ndarray) else f for n, f in configs[c].items()}
-        witness = {**dict(zip(("theta_x", "theta_y"), map(float, row[0]))), **fields}
-        if kind.name in _PARAMETRIC:
-            witness["t"] = kind.t
-        witness["value"] = float(V[c, 0])
-        out.append(witness)
-    return out
+    tables = _tables(norm, points, rows, dual, cone_samples)
+    return [_witness(kind, table, 0, row[0]) for (kind, _), row, table in zip(points, rows, tables)]
 
 
 # -- main entry points -----------------------------------------------------------
@@ -946,7 +909,6 @@ def modulus(
     refine_rounds: int = 6,
     cone_samples: int = 17,
     grid_n_2d: int = 256,
-    chord_scans: ChordScans | None = None,
 ) -> CurveSample:
     """One point of a modulus curve, with its extremal witness.
 
@@ -959,12 +921,10 @@ def modulus(
     exactly instead, and grid_n and refine_rounds do not change them. grid_n
     and grid_n_2d must be at least 64, cone_samples at least 0 and
     refine_rounds an integer of at least 1, whatever the kind and eps, or
-    InputError is raised. chord_scans lets the chord kinds of one run on a
-    smooth norm share their coarse chord solve (see ChordScans); without it
-    each call solves its own. This is modulus_batch for a single point,
-    raising the error it would return.
+    InputError is raised. This is modulus_batch for a single point, raising
+    the error it would return.
     """
-    (out,) = _solve(norm, [(kind, eps)], grid_n, refine_rounds, cone_samples, grid_n_2d, chord_scans)
+    (out,) = _solve(norm, [(kind, eps)], grid_n, refine_rounds, cone_samples, grid_n_2d)
     if isinstance(out, Exception):
         raise out
     return out
@@ -978,21 +938,22 @@ def modulus_batch(
     refine_rounds: int = 6,
     cone_samples: int = 17,
     grid_n_2d: int = 256,
-    chord_scans: ChordScans | None = None,
 ) -> list:
     """Many points (kind, eps) of one norm, solved together on one path.
 
     On a polygonal norm the chord kinds are enumerated at their breakpoint
-    angles, with one chord solve per eps for all of them (and one more per
-    banas or beta-t weight); grid_n and refine_rounds do not affect them.
-    Every other point is one search of the one objective (_objective) over
-    its configuration tables. The single-angle points run as one lockstep
-    extremize_batch, so each engine step makes one objective call for all of
-    them: one chord solve for every chord kind of a smooth norm (with the
-    coarse scans shared through chord_scans, as in modulus) and one
-    quasi-normal pass for the lambda and zeta kinds. The rho and milman
-    points are searched one at a time (see _solve). All witnesses come from
-    one table pass at the winning angles (see _describe_theta). Each entry of
+    angles: three chord solves for all of them (the vertices' partners, the
+    breakpoint scans of every eps, and the midpoint angles of banas and
+    beta-t), with each witness read from the table its value came from;
+    grid_n and refine_rounds do not affect them. Every other point is one
+    search of the one objective (_objective) over its configuration tables.
+    The single-angle points run as one lockstep extremize_batch, so each
+    engine step makes one objective call for all of them: one chord solve
+    for every chord kind of a smooth norm (the points at one eps share the
+    coarse scan's chords and supports) and one quasi-normal pass for the
+    lambda and zeta kinds. The rho and milman points are searched one at a
+    time (see _solve). The witnesses of all searched points come from one
+    table pass at the winning angles (see _describe_theta). Each entry of
     the result is the CurveSample that modulus returns for that point (equal
     with ==, witness included) or the DomainError that it raises.
     """
@@ -1001,10 +962,10 @@ def modulus_batch(
         # as the perfbench tracer, which wraps modulus) still sees it
         settings = dict(grid_n=grid_n, refine_rounds=refine_rounds, cone_samples=cone_samples, grid_n_2d=grid_n_2d)
         try:
-            return [modulus(norm, *points[0], **settings, chord_scans=chord_scans)]
+            return [modulus(norm, *points[0], **settings)]
         except DomainError as exc:
             return [exc]
-    return _solve(norm, points, grid_n, refine_rounds, cone_samples, grid_n_2d, chord_scans)
+    return _solve(norm, points, grid_n, refine_rounds, cone_samples, grid_n_2d)
 
 
 def _extremize_all(objective, problems: list[Problem], **shared) -> list:
@@ -1020,16 +981,17 @@ def _mode(kind: ModulusKind) -> str:
     return "sup" if kind.is_sup() else "inf"
 
 
-def _solve(norm: Norm, points, grid_n, refine_rounds, cone_samples, grid_n_2d, chord_scans) -> list:
+def _solve(norm: Norm, points, grid_n, refine_rounds, cone_samples, grid_n_2d) -> list:
     """modulus_batch without the lone-point routing: the settings are checked
     first, then the domain errors and eps = 0 conventions. The chord points
-    of a polygonal norm are enumerated (_enumerate_chord_kinds), and every
-    other point gets one Problem. The single-angle problems run as one
-    lockstep search; rho and milman run one at a time, since each coarse
-    scan over [0, pi)^2 is already thousands of rows, and a lockstep batch,
-    which holds the coarse grids of all its searches at once, raised the
-    peak memory without a measurable speed-up. One _describe_theta pass then
-    gives every witness."""
+    of a polygonal norm are enumerated, witnesses included
+    (_enumerate_chord_kinds), and every other point gets one Problem. The
+    single-angle problems run as one lockstep search; rho and milman run one
+    at a time, since each coarse scan over [0, pi)^2 is already thousands of
+    rows, and a lockstep batch, which holds the coarse grids of all its
+    searches at once, raised the peak memory without a measurable speed-up.
+    One _describe_theta pass then gives the witnesses of the searched
+    points."""
     if int(grid_n) < 64 or int(grid_n_2d) < 64:
         raise InputError("grid_n must be at least 64 per dimension")
     if int(cone_samples) < 0:
@@ -1054,13 +1016,13 @@ def _solve(norm: Norm, points, grid_n, refine_rounds, cone_samples, grid_n_2d, c
     points = [out[i] for i in live]
     two = [kind.name in _TWO_ANGLE_KINDS for kind, _ in points]
     dual = norm.dual() if any(kind.name.startswith("d-") for kind, _ in points) else None
-    # (value, angles, tol) per point
+    # (value, tol, witness) per point
     results: list = [None] * len(points)
     polygon = norm._polygon()
     chord = [i for i, (kind, _) in enumerate(points) if polygon is not None and kind.name not in _QN_KINDS | _TWO_ANGLE_KINDS]
     if chord:
-        for i, (value, theta) in zip(chord, _enumerate_chord_kinds(norm, polygon, [points[i] for i in chord], dual)):
-            results[i] = (value, np.array([theta]), _POLYGON_TOL)
+        for i, (value, witness) in zip(chord, _enumerate_chord_kinds(norm, polygon, [points[i] for i in chord], dual)):
+            results[i] = (value, _POLYGON_TOL, witness)
     # polygon vertices, one per antipodal pair, are injected into every
     # coarse scan of the lambda and zeta kinds; rho and milman get the pairs
     # of vertex angles
@@ -1071,17 +1033,17 @@ def _solve(norm: Norm, points, grid_n, refine_rounds, cone_samples, grid_n_2d, c
         if results[i] is None:
             extra = pairs if two[i] else base[:, None]
             problems[i] = Problem([(0.0, math.pi)] * extra.shape[1], _mode(kind), extra if extra.size else None)
-    scans = ChordScans() if chord_scans is None else chord_scans
-    chords = lambda r: scans.chords(norm, grid_n, r)  # noqa: E731
     one = [i for i in problems if not two[i]]
     groups = ([(one, grid_n)] if one else []) + [([i], grid_n_2d) for i in problems if two[i]]
+    found = {}
     for group, n in groups:
-        objective = _objective(norm, [points[i] for i in group], dual, cone_samples, chords)
-        searched = _extremize_all(objective, [problems[i] for i in group], grid_n=_half_turn_points(n), refine_rounds=refine_rounds)
-        for i, res in zip(group, searched):
-            results[i] = (float(res.value), res.point, max(float(res.tol), 1e-12))
-    witnesses = _describe_theta(norm, points, [angles for _, angles, _ in results], dual, cone_samples)
-    for i, (_, eps), (value, _, tol), witness, is_two in zip(live, points, results, witnesses, two):
+        objective = _objective(norm, [points[i] for i in group], dual, cone_samples)
+        found.update(zip(group, _extremize_all(objective, [problems[i] for i in group], grid_n=_half_turn_points(n), refine_rounds=refine_rounds)))
+    if problems:
+        witnesses = _describe_theta(norm, [points[i] for i in problems], [found[i].point for i in problems], dual, cone_samples)
+        for i, witness in zip(problems, witnesses):
+            results[i] = (float(found[i].value), max(float(found[i].tol), 1e-12), witness)
+    for i, (_, eps), (value, tol, witness), is_two in zip(live, points, results, two):
         out[i] = CurveSample(eps, value, int(grid_n_2d if is_two else grid_n), tol, witness)
     return out
 

@@ -38,7 +38,6 @@ import numpy as np
 from . import __version__ as _TOOL_VERSION
 from .errors import DomainError, InputError, RepresentationError
 from .moduli import (
-    ChordScans,
     CurveSample,
     ModulusKind,
     area_additivity_check,
@@ -120,17 +119,14 @@ class ModulusCache:
     check hands all its points for one norm to sample_many, which solves the
     misses as one lockstep modulus_batch: one chord solve per engine step
     for every chord kind and eps, and one quasi-normal pass for the lambda and
-    zeta kinds. The cache also holds the coarse chord scans of its run
-    (ChordScans), so the chord kinds at one (norm, eps) solve the coarse grid
-    once between them, across batches too. A point that raises DomainError is
-    remembered with its error, which sample raises again.
-    One cache serves one run and is dropped with it.
+    zeta kinds. It keeps samples only: no chord scan outlives its batch. A
+    point that raises DomainError is remembered with its error, which sample
+    raises again. One cache serves one run and is dropped with it.
     """
 
     def __init__(self, settings: SuiteSettings):
         self.settings = settings
         self._data: dict = {}
-        self.chord_scans = ChordScans()
 
     def sample_many(self, norm: Norm, pairs) -> list:
         """The sample (or the remembered error) for each (kind, eps) pair,
@@ -143,7 +139,7 @@ class ModulusCache:
             if key not in self._data:
                 misses.setdefault(key, pair)
         if misses:
-            solved = modulus_batch(norm, list(misses.values()), **self.settings.modulus_kwargs(), chord_scans=self.chord_scans)
+            solved = modulus_batch(norm, list(misses.values()), **self.settings.modulus_kwargs())
             self._data.update(zip(misses, solved))
         return [self._data[key] for key in keys]
 
@@ -319,8 +315,9 @@ class CheckSpec:
     slack: float
 
     def __post_init__(self):
-        if self.slack < 0.0:
-            raise InputError("slack must be nonnegative")
+        # a nan slack fails every check and an infinite one passes every check
+        if not 0.0 <= self.slack < math.inf:
+            raise InputError(f"slack must be a finite number >= 0, got {self.slack!r}")
         if not self.eps_grid:
             raise InputError("eps grid must be nonempty")
 
@@ -403,9 +400,9 @@ def _nudged_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(float(lo + (hi - lo) * m) for m in master)
 
 
-def _check_eps_points(eps_points) -> None:
-    if isinstance(eps_points, bool) or not isinstance(eps_points, (int, np.integer)) or eps_points < 1:
-        raise InputError(f"eps_points must be an integer >= 1, got {eps_points!r}")
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def default_suite(
@@ -416,7 +413,7 @@ def default_suite(
     checks: Iterable[str] | None = None,
 ) -> list[CheckSpec]:
     """Specs for the built-in checks over a norm family (standard_norms() default)."""
-    _check_eps_points(eps_points)
+    _check_count("eps_points", eps_points)
     if norms is None:
         norms = standard_norms()
     ids = default_check_ids() if checks is None else resolve_check_ids(checks)
@@ -889,9 +886,8 @@ def probe_conjectures(
     """
     if family not in PROBE_FAMILIES:
         raise InputError(f"unknown probe family {family!r}; valid: {', '.join(PROBE_FAMILIES)}")
-    if count < 1:
-        raise InputError("count must be at least 1")
-    _check_eps_points(eps_points)
+    _check_count("count", count)
+    _check_count("eps_points", eps_points)
     settings = settings or _probe_settings()
     rng = np.random.default_rng(seed)
     norms, resampled = _sample_family(family, count, rng)

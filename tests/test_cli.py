@@ -208,6 +208,13 @@ def test_verify_bad_eps_points_exits_2(capsys):
     assert "eps_points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("slack", ("nan", "inf"))
+def test_verify_non_finite_slack_exits_2(slack, capsys):
+    argv = ["verify", "--norm", "euclidean", "--checks", "zeta-envelope", "--eps-points", "2", "--slack", slack]
+    assert main([*argv, "--grid-n", "64", "--grid-n-2d", "64", "--refine-rounds", "1"]) == 2
+    assert "slack" in capsys.readouterr().err
+
+
 def test_verify_failing_check_exits_1(tmp_path):
     if "test-cli-floor" not in check_ids():
         kind = ModulusKind("delta")

@@ -35,7 +35,7 @@ from planemoduli import (
 from planemoduli import moduli
 from planemoduli import modulus_batch
 from planemoduli.engine import Problem, extremize_batch
-from planemoduli.moduli import KIND_NAMES, ChordScans, CurveSample, _objective, kind_domain
+from planemoduli.moduli import KIND_NAMES, CurveSample, _objective, kind_domain
 from planemoduli.verify import ModulusCache, SuiteSettings, _sample_family, _sample_polygon, norm_label, standard_norms
 
 EUCLID = euclidean_norm()
@@ -291,9 +291,8 @@ def _angle_halves(norm, d):
 
 
 def _objective_of(norm, points):
-    """The objective that modulus_batch builds for its points, with a fresh
-    chord store on every call."""
-    return _objective(norm, points, norm.dual(), 9, lambda requests: ChordScans().chords(norm, 64, requests))
+    """The objective that modulus_batch builds for its points."""
+    return _objective(norm, points, norm.dual(), 9)
 
 
 @pytest.mark.parametrize("token", ALL_TOKENS)
@@ -619,14 +618,11 @@ def test_shared_chord_scans_match_fresh_points(norm):
         for token in CHORD_TOKENS:
             shared = cache.sample(norm, K(token), eps)
             assert shared == modulus(norm, K(token), eps, **SCAN_SETTINGS.modulus_kwargs()), (token, eps)
-    # the engine's coarse scans are kept, one per eps; the chord kinds of a
-    # polygonal norm are enumerated, not searched, and keep none
-    assert len(cache.chord_scans) == (0 if norm._polygon() is not None else 2)
 
 
 def _scan_rows(norm, eps):
-    # the rows of one chord scan: the kept coarse grid, or on a polygonal
-    # norm the breakpoint angles of eps, which are enumerated and not kept
+    # the rows of one chord scan: the engine's coarse grid, or on a polygonal
+    # norm the breakpoint angles of eps, which are enumerated
     if norm._polygon() is None:
         return _coarse_rows(norm)
     (angles,) = moduli._breakpoint_angles(norm, norm._polygon(), [eps])
@@ -643,18 +639,17 @@ def test_chord_kinds_bisect_the_coarse_grid_once(norm, monkeypatch):
         rows.append(len(thetas))
         return bisect(norm, thetas, *args)
 
-    kept = norm._polygon() is None
     scan_rows = len(moduli._chord_branches(norm)) * _scan_rows(norm, eps)
     monkeypatch.setattr(moduli, "_chord_offsets_rows", counted)
-    # one kind at a time, and all ten kinds as one batch: a kept scan is
-    # bisected once across both, a polygon's breakpoints once per batch
+    # one kind at a time, and all ten kinds as one batch: the coarse grid (or
+    # a polygon's breakpoints) is solved once per batch, for all its kinds
     for fill, batches in (
         (lambda cache: [cache.sample(norm, K(token), eps) for token in CHORD_TOKENS], len(CHORD_TOKENS)),
         (lambda cache: cache.sample_many(norm, [(K(token), eps) for token in CHORD_TOKENS]), 1),
     ):
         rows.clear()
         fill(ModulusCache(SCAN_SETTINGS))
-        assert rows.count(scan_rows) == (1 if kept else batches)
+        assert rows.count(scan_rows) == batches
     rows.clear()
     for token in CHORD_TOKENS:
         modulus(norm, K(token), eps, **SCAN_SETTINGS.modulus_kwargs())
@@ -673,38 +668,24 @@ def test_kept_scans_compute_their_supports_once(norm, monkeypatch):
         return support(self, X)
 
     monkeypatch.setattr(cls, "_support_batch", counted)
-    cache = ModulusCache(SCAN_SETTINGS)
-    if norm._polygon() is None:
-        # a kept scan serves the ten kinds asked one at a time
-        for token in CHORD_TOKENS:
-            cache.sample(norm, K(token), eps)
-    else:
-        # a polygon's breakpoint scan is not kept; it serves one batch
-        cache.sample_many(norm, [(K(token), eps) for token in CHORD_TOKENS])
+    # the coarse scan (or a polygon's breakpoint scan) serves the ten kinds
+    # of one batch
+    ModulusCache(SCAN_SETTINGS).sample_many(norm, [(K(token), eps) for token in CHORD_TOKENS])
     # X and the partner array of each branch, once each, across the ten kinds
     assert rows.count(_scan_rows(norm, eps)) == 1 + len(moduli._chord_branches(norm))
 
 
-def test_chord_scans_are_read_only_and_keyed_on_exact_eps():
-    scans = ChordScans()
+def test_chord_scans_share_identical_requests():
+    # identical requests (equal eps and angles) in one call share one scan;
+    # other angles, or an eps equal to 12 digits but not exactly, get their own
     thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    (scan,) = scans.chords(HEXAGON, 64, [(0.7, thetas)])
-    (again,) = scans.chords(HEXAGON, 64, [(0.7, thetas.copy())])
-    assert again is scan
-    supports = [*scan.x_support(), *(a for pair in scan.z_supports() for a in pair)]
+    requests = [(0.7, thetas), (0.7, thetas.copy()), (0.7, thetas[:10]), (0.7 + 1e-13, thetas)]
+    scan, again, other, near = moduli._chord_scans(HEXAGON, requests)
+    assert again is scan and len({id(scan), id(other), id(near)}) == 3
+    alone = moduli._chord_scans(HEXAGON, requests[2:3])[0]
+    assert other.thetas.tobytes() == alone.thetas.tobytes() and all(np.array_equal(a, b) for a, b in zip(other.Zs, alone.Zs))
+    # a scan computes its supports once, on first use
     assert scan.x_support() is scan.x_support() and scan.z_supports() is scan.z_supports()
-    for arr in (scan.thetas, scan.X, *scan.Zs, *supports):
-        with pytest.raises(ValueError):
-            arr[(0,) * arr.ndim] = 0.0
-    # a different theta array is bisected afresh and not kept
-    (other,) = scans.chords(HEXAGON, 64, [(0.7, thetas[:10])])
-    assert other is not scan and other.X.flags.writeable and len(scans) == 1
-    # eps equal to 12 digits but not exactly is a different scan
-    scans.chords(HEXAGON, 64, [(0.7 + 1e-13, thetas)])
-    assert len(scans) == 2
-    # identical requests in one call share one scan
-    a, b = scans.chords(HEXAGON, 64, [(0.5, thetas), (0.5, thetas.copy())])
-    assert a is b and len(scans) == 3
 
 
 def test_polygon_chord_chunks_keep_the_bits(monkeypatch):
@@ -724,9 +705,10 @@ PROBE_EPS = (1e-6, 0.3, 1.5, 1.999998, 2.0)
 @pytest.mark.parametrize("norm", ROW_NORMS[1:], ids=("hexagon", "random-polygon"))
 def test_polygon_chord_kinds_solve_once_per_batch(norm, monkeypatch):
     # no engine search: per batch, one chord solve finds the vertices'
-    # partners at every eps, one solves the chords at every breakpoint angle,
-    # one at the midpoint angles of banas and beta-t, and one the witnesses;
-    # each breakpoint scan's supports are computed once for all ten kinds
+    # partners at every eps, one solves the chords at every breakpoint angle
+    # and one at the midpoint angles of banas and beta-t; the witnesses are
+    # read from the breakpoint tables, and each breakpoint scan's supports
+    # are computed once for all ten kinds
     eps_values = (0.9, 1.6)
     rows, support_rows = [], []
     chord, cls = moduli._chord_offsets_rows, type(norm)
@@ -752,15 +734,14 @@ def test_polygon_chord_kinds_solve_once_per_batch(norm, monkeypatch):
     samples = modulus_batch(norm, points, **BATCH_SETTINGS)
     assert all(isinstance(s, CurveSample) and s.refine_tol == moduli._POLYGON_TOL for s in samples)
     branches = len(moduli._chord_branches(norm))
-    assert len(rows) == 4
+    assert len(rows) == 3
     assert rows[0] == branches * len(moduli._half_turn_vertices(norm)) * len(eps_values)
     assert rows[1] == branches * sum(len(b) for b in breakpoints)
-    assert rows[3] == branches * len(points)
-    # x and each branch's partners, per eps; the witnesses' are one-row scans
+    # x and each branch's partners, per eps
     want = Counter()
     for angles in breakpoints:
         want[len(angles)] += 1 + branches
-    assert Counter(n for n in support_rows if n > 1) == want
+    assert Counter(support_rows) == want
     # a lone point takes the same path and gets the same sample
     assert modulus(norm, *points[0], **BATCH_SETTINGS) == samples[0]
 
@@ -808,7 +789,7 @@ def test_enumerated_chord_moduli_bound_a_fine_engine_search(norm):
     partners = moduli._partner_angles(norm, vertices, list(PROBE_EPS))
     extra = dict(zip(PROBE_EPS, partners))
     problems = [Problem([(0.0, math.pi)], "sup" if kind.is_sup() else "inf", np.concatenate([vertices, extra[eps]])[:, None]) for kind, eps in points]
-    objective = _objective(norm, points, norm.dual(), 9, lambda requests: moduli._chord_scans(norm, requests))
+    objective = _objective(norm, points, norm.dual(), 9)
     searched = extremize_batch(objective, problems, grid_n=2048, refine_rounds=8)
     off = []
     for (kind, eps), s, res in zip(points, samples, searched):
@@ -817,6 +798,18 @@ def test_enumerated_chord_moduli_bound_a_fine_engine_search(norm):
         if gap > s.refine_tol:
             off.append((kind.token(), eps, s.value, res.value))
     assert off == []
+
+
+@pytest.mark.parametrize(
+    "norm", (*ENUMERATED_NORMS[:3], *ENUMERATED_NORMS[5:8]), ids=("hexagon", "octagon", "lp1", *(f"random-{i}" for i in range(3)))
+)
+def test_enumerated_witnesses_are_the_one_row_witnesses(norm):
+    # a witness read from the breakpoint table is, field for field, the one
+    # that a one-row table at its angle gives
+    points = [(K(token), eps) for token in CHORD_TOKENS for eps in PROBE_EPS]
+    samples = modulus_batch(norm, points, **BATCH_SETTINGS)
+    angles = [np.array([s.witness["theta_x"]]) for s in samples]
+    assert [s.witness for s in samples] == moduli._describe_theta(norm, points, angles, norm.dual(), 9)
 
 
 # norms whose sharp vertices round the evaluated chord to the antipode below 2
@@ -837,11 +830,10 @@ def test_every_chord_kind_has_a_value_at_the_diameter(norm):
         assert isinstance(sample, CurveSample), (token, sample)
         assert math.isfinite(sample.value) and sample.witness["value"] == sample.value, token
     assert modulus(norm, K("delta"), 2.0, **BATCH_SETTINGS) == batch[0]
-    scans = ChordScans()
     thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    (scan,) = scans.chords(norm, 64, [(2.0, thetas)])
-    assert len(scans) == 1 and scans.chords(norm, 64, [(2.0, thetas.copy())])[0] is scan
-    assert scans.chords(norm, 64, []) == []
+    scan, again = moduli._chord_scans(norm, [(2.0, thetas), (2.0, thetas.copy())])
+    assert again is scan and all(np.all(np.isfinite(Z)) for Z in scan.Zs)
+    assert moduli._chord_scans(norm, []) == []
 
 
 # -- the half-turn search ----------------------------------------------------------
@@ -897,16 +889,24 @@ def test_refine_rounds_is_checked_up_front():
         assert main(["compute", "--norm", "hexagon", "--modulus", "delta", "--eps", eps, "--refine-rounds", "0"]) == 2
 
 
-def test_kept_chord_scan_is_the_first_half_of_the_full_turn_grid():
+def test_coarse_chord_scan_is_the_first_half_of_the_full_turn_grid(monkeypatch):
     # the half turn keeps the full turn's spacing, not its point count: its
-    # cell centres are the first grid_n / 2 of the full turn's, bit for bit
+    # cell centres, the engine's first chord request, are the first
+    # grid_n / 2 of the full turn's, bit for bit
     settings = SuiteSettings()
-    scans = ChordScans()
-    modulus(LP3, K("phi-plus"), 0.7, **settings.modulus_kwargs(), chord_scans=scans)
-    (scan,) = scans._scans.values()
+    requests = []
+    scans = moduli._chord_scans
+
+    def recorded(norm, batch):
+        requests.extend(batch)
+        return scans(norm, batch)
+
+    monkeypatch.setattr(moduli, "_chord_scans", recorded)
+    modulus(LP3, K("phi-plus"), 0.7, **settings.modulus_kwargs())
+    eps, thetas = requests[0]
     half = settings.grid_n // 2
     grid = (np.arange(half) + 0.5) * (2.0 * math.pi / settings.grid_n)
-    assert scan.thetas.tobytes() == grid.tobytes()
+    assert eps == 0.7 and thetas.tobytes() == grid.tobytes()
 
 
 def test_two_angle_witnesses_replay_their_sample_values():
@@ -1049,11 +1049,17 @@ def test_batch_witnesses_take_one_table_pass(norm, monkeypatch):
     qn_tokens = ("lambda-plus", "lambda-minus", "zeta-minus", "zeta-plus")
     points = [(K(token), eps) for token in (*chord_tokens, *qn_tokens) for eps in (0.4, 0.9)]
     samples = modulus_batch(norm, points, **BATCH_SETTINGS)
-    # one witness call for the batch, and in it one chord solve for every
-    # chord point's winning angle on each chord branch
-    assert witness_chord_calls == [1]
-    assert chord_calls[-1] == 2 * len(chord_tokens) * len(moduli._chord_branches(norm))
     assert all(isinstance(s, CurveSample) for s in samples)
+    if norm._polygon() is not None:
+        # the enumerated chord points read their witnesses from their
+        # breakpoint tables: the witness call solves no chord
+        assert witness_chord_calls == [0]
+        return
+    # one witness call for the batch, and in it one chord solve for every
+    # distinct (eps, winning angle) of the chord points on each chord branch
+    winners = {(eps, s.witness["theta_x"]) for (kind, eps), s in zip(points, samples) if kind.name not in moduli._QN_KINDS}
+    assert witness_chord_calls == [1]
+    assert chord_calls[-1] == len(winners) * len(moduli._chord_branches(norm))
 
 
 # -- area additivity ---------------------------------------------------------------

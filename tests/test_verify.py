@@ -86,6 +86,16 @@ def test_spec_validation():
             default_suite([EUCLID], eps_points=bad)
 
 
+@pytest.mark.parametrize("slack", (math.nan, math.inf))
+def test_spec_rejects_a_non_finite_slack(slack):
+    # a nan slack fails every margin, and an infinite one passes any margin,
+    # so that a verdict would bound nothing
+    with pytest.raises(InputError, match="slack"):
+        CheckSpec("lambda-envelope", "inequality", (EUCLID,), (0.5,), slack)
+    with pytest.raises(InputError, match="slack"):
+        default_suite([EUCLID], slack=slack, checks=["zeta-envelope"])
+
+
 def test_run_suite_rejects_unknown_and_duplicate_ids():
     spec = CheckSpec("no-such-check", "inequality", (EUCLID,), (0.5,), 1e-3)
     with pytest.raises(InputError, match="valid ids"):
@@ -242,8 +252,9 @@ def test_standard_norm_family_and_labels():
 def test_probe_rejects_bad_arguments():
     with pytest.raises(InputError, match="family"):
         probe_conjectures("hyperbolic", 3, seed=1)
-    with pytest.raises(InputError, match="count"):
-        probe_conjectures("random-lp", 0, seed=1)
+    for bad in (0, -2, 1.5, True, "2"):
+        with pytest.raises(InputError, match="count must be an integer >= 1"):
+            probe_conjectures("random-lp", bad, seed=1)
     with pytest.raises(InputError, match="eps_points"):
         probe_conjectures("random-lp", 1, seed=1, eps_points=0)
 
